@@ -36,10 +36,10 @@ from pathlib import Path
 from .cache import read_cache
 from .errors import CacheChecksumError, CacheFormatError, ConfigError
 from .experiments import (
-    _MEMO,
     DEFAULT_GRID,
     EXPERIMENT_IDS,
     LARGE_N_LIMIT,
+    adopt_window,
     run_experiment,
 )
 
@@ -124,18 +124,14 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _preload_caches(cache_dir: str) -> None:
-    """Verify every cache file under cache_dir and seed the window memo.
+    """Verify every cache file under cache_dir and seed the sign windows.
 
     Any malformed or corrupt file raises, which run() maps to exit 3; a
-    batch never silently recomputes around a damaged cache.
+    batch never silently recomputes around a damaged cache.  Files that do
+    not start at n = 1 are verified but not used.
     """
     for path in sorted(Path(cache_dir).glob("*.bin")):
-        seq = read_cache(path)
-        if seq.start != 1:
-            continue
-        have = _MEMO.get(seq.label)
-        if have is None or len(seq.values) > len(have):
-            _MEMO[seq.label] = seq.values
+        adopt_window(read_cache(path))
 
 
 def _compare_golden(report, golden: dict) -> list[str]:

@@ -24,7 +24,7 @@ import numpy as np
 from .cache import read_cache
 from .errors import AllSquaredError, InvalidRangeError, NotDisjointError
 from .sequences import BoundedSeq, TrigPoly
-from .sieve import LABELS, sieve
+from .sieve import LABELS, SEGMENT, SignSeq, sieve
 from .summation import CHUNK, KahanAccumulator
 
 # golden-ratio frequency used by the default battery
@@ -37,32 +37,82 @@ LARGE_N_LIMIT = 10**7
 # ---------------------------------------------------------------------------
 # Window provider
 
-_MEMO: dict[str, np.ndarray] = {}
+
+class WindowStore:
+    """Owner of the memoised sign windows: per label, the values for n = 1..len.
+
+    Windows only grow, and only by sieving the missing tail.  A growth
+    rounds the new length up to a multiple of the sieve segment and fills,
+    in the same pass, every label whose window ends where the requested
+    one does, so a battery touching all three labels sieves each index
+    once.  Grown windows are written into newly allocated arrays, never
+    resized in place, because callers keep views of the old ones.
+    """
+
+    def __init__(self) -> None:
+        self._windows: dict[str, np.ndarray] = {}
+
+    def _length(self, label: str) -> int:
+        have = self._windows.get(label)
+        return 0 if have is None else len(have)
+
+    def adopt(self, seq: SignSeq) -> None:
+        """Hold a window that starts at n = 1 if it is longer than the current one."""
+        if seq.start == 1 and len(seq) > self._length(seq.label):
+            self._windows[seq.label] = seq.values
+
+    def get(self, label: str, hi: int, cache_dir: str | Path | None = None) -> np.ndarray:
+        """Values of label for n = 1..hi; see sign_window."""
+        if label not in LABELS:
+            raise ValueError(f"unknown label {label!r}")
+        if hi < 1:
+            raise InvalidRangeError(f"need hi >= 1, got {hi}")
+        if self._length(label) < hi and cache_dir is not None:
+            path = Path(cache_dir) / f"{label}.bin"
+            if path.exists():
+                seq = read_cache(path)  # raises on corruption; caller maps to exit 3
+                if seq.label == label:
+                    self.adopt(seq)
+        if self._length(label) < hi:
+            self._extend(label, hi)
+        return self._windows[label][:hi]
+
+    def _extend(self, label: str, hi: int) -> None:
+        stop = self._length(label)
+        new_stop = -(-hi // SEGMENT) * SEGMENT
+        grown: dict[str, np.ndarray] = {}
+        for name in LABELS:
+            if self._length(name) == stop:
+                grown[name] = np.empty(new_stop, dtype=np.int8)
+                if stop:
+                    grown[name][:stop] = self._windows[name]
+        # the module-level sieve, so a substitute installed on this module
+        # (a test double, a tracing wrapper) sees every pass
+        sieve(label, stop + 1, new_stop + 1,
+              out={name: arr[stop:] for name, arr in grown.items()})
+        self._windows.update(grown)
+
+
+WINDOWS = WindowStore()
 
 
 def sign_window(label: str, hi: int, cache_dir: str | Path | None = None) -> np.ndarray:
-    """Values of a label for n = 1..hi as an int8 array (index n-1).
+    """Values of a label for n = 1..hi as an int8 view (index n-1).
 
-    Windows are memoised per label and regrown geometrically, so a battery
-    of experiments at nested N reuses one sieve pass.  When cache_dir holds
-    a file named <label>.bin it is read (and fully verified) first; a cache
-    that does not reach hi falls back to sieving.
+    Served from the module's WindowStore.  A window too short for hi is
+    first replaced by <label>.bin from cache_dir when that file holds a
+    longer window (it is read and fully verified), then extended by
+    sieving only the indices past its end, up to hi rounded up to a
+    multiple of SEGMENT; labels whose windows end at the same index are
+    extended by the same pass.  The result is a view: later growth
+    allocates new arrays and leaves views handed out earlier intact.
     """
-    if label not in LABELS:
-        raise ValueError(f"unknown label {label!r}")
-    have = _MEMO.get(label)
-    if have is not None and len(have) >= hi:
-        return have[:hi]
-    if cache_dir is not None:
-        path = Path(cache_dir) / f"{label}.bin"
-        if path.exists():
-            seq = read_cache(path)  # raises on corruption; caller maps to exit 3
-            if seq.label == label and seq.start == 1 and len(seq) >= hi:
-                _MEMO[label] = seq.values
-                return seq.values[:hi]
-    grown = max(hi, 2 * len(have) if have is not None else hi)
-    _MEMO[label] = sieve(label, 1, grown + 1).values
-    return _MEMO[label][:hi]
+    return WINDOWS.get(label, hi, cache_dir)
+
+
+def adopt_window(seq: SignSeq) -> None:
+    """Seed the module's window store with a window starting at n = 1."""
+    WINDOWS.adopt(seq)
 
 
 def _modulated_average(mask: np.ndarray, theta: float, N: int) -> complex:
@@ -72,8 +122,14 @@ def _modulated_average(mask: np.ndarray, theta: float, N: int) -> complex:
     acc = KahanAccumulator()
     for lo in range(0, N, CHUNK):
         hi = min(lo + CHUNK, N)
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        acc.add(np.sum(mask[lo:hi] * np.exp(1j * theta * n)))
+        # one complex buffer per chunk, reused in place: n -> i*theta*n ->
+        # exp -> times mask; released before the next chunk is allocated
+        terms = np.arange(lo + 1, hi + 1, dtype=np.complex128)
+        terms *= 1j * theta
+        np.exp(terms, out=terms)
+        terms *= mask[lo:hi]
+        acc.add(np.sum(terms))
+        del terms
     return acc.total / N
 
 

@@ -1,6 +1,7 @@
 """Segmented sieves for the Mobius, Liouville and square-free indicators.
 
-All three labels are produced from one segment pass.  A segment keeps, for
+All three labels are produced from one segment pass, and sieve() hands out
+every label a caller asks for from that pass.  A segment keeps, for
 every index n in a window of 2**20 indices, the number of distinct small
 prime divisors, the total number of prime divisors with multiplicity, the
 product of the small-prime parts, and a square-free flag.  Any index whose
@@ -19,7 +20,6 @@ covers lo, lo+1, ..., hi-1.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -160,10 +160,9 @@ def oracle_values(n: int) -> tuple[int, int, int]:
 def _segment_tables(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw (mobius, liouville, squarefree) int8 arrays on [lo, hi)."""
     size = hi - lo
-    idx = np.arange(lo, hi, dtype=np.int64)
     total = np.zeros(size, dtype=np.int8)      # divisor count with multiplicity
     distinct = np.zeros(size, dtype=np.int8)   # distinct prime divisor count
-    squarefree = np.ones(size, dtype=bool)
+    squarefree = np.ones(size, dtype=np.int8)
     partial = np.ones(size, dtype=np.int64)    # product of small-prime parts
     top = isqrt(hi - 1)
     for p in primes:
@@ -171,43 +170,61 @@ def _segment_tables(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, n
         if p > top:
             break
         first = (-lo) % p
+        if first >= size:
+            continue  # no multiple of p in the segment, so none of its powers
         total[first::p] += 1
         distinct[first::p] += 1
         partial[first::p] *= p
+        # a power q of p has a multiple in the segment exactly when start < size
         q = p * p
-        if q < hi:
-            squarefree[(-lo) % q :: q] = False
-        while q < hi:
-            start = (-lo) % q
+        start = (-lo) % q
+        if start < size:
+            squarefree[start::q] = 0
+        while start < size:
             total[start::q] += 1
             partial[start::q] *= p
             q *= p
+            start = (-lo) % q
     # A shortfall in the accumulated product means exactly one prime factor
     # above top remains; it is simple, so it bumps both counters by one.
-    leftover = partial != idx
-    total[leftover] += 1
-    distinct[leftover] += 1
-    liouville = np.where(total & 1, np.int8(-1), np.int8(1))
-    mobius = np.where(distinct & 1, np.int8(-1), np.int8(1))
-    mobius[~squarefree] = 0
-    return mobius, liouville, squarefree.astype(np.int8)
+    # Whole-array int8 arithmetic from here: a parity bit b becomes the sign
+    # 1 - 2b, and the Mobius sign is masked by multiplying with squarefree.
+    leftover = partial != np.arange(lo, hi, dtype=np.int64)
+    del partial
+    total += leftover
+    distinct += leftover
+    liouville = np.bitwise_and(total, 1, out=total)
+    liouville *= -2
+    liouville += 1
+    mobius = np.bitwise_and(distinct, 1, out=distinct)
+    mobius *= -2
+    mobius += 1
+    mobius *= squarefree
+    return mobius, liouville, squarefree
 
 
 _LABEL_SLOT = {"mobius": 0, "liouville": 1, "squarefree": 2}
 
 
-def sieve(label: str, lo: int, hi: int, workers: int = 1) -> SignSeq:
-    """Sieve one label over the half-open index range [lo, hi).
+def sieve(label: str, lo: int, hi: int,
+          out: dict[str, np.ndarray] | None = None) -> SignSeq:
+    """Sieve the half-open index range [lo, hi) in one segmented pass.
+
+    Every segment yields all three labels at once, so a caller that needs
+    several of them passes ``out``: each label it maps to an int8 array of
+    length hi - lo is filled in the same pass.  Without ``out`` only the
+    requested label is allocated.
 
     Args:
-        label: "mobius", "liouville" or "squarefree".
+        label: "mobius", "liouville" or "squarefree"; the label returned.
         lo: first index, >= 1.
         hi: one past the last index; must satisfy lo < hi <= 2**63 - 1.
-        workers: segments are computed by this many threads and assembled
-            in index order, so the result does not depend on the count.
+        out: optional label -> int8 array of length hi - lo.  Arrays may be
+            views into larger buffers; they are written in place.  When
+            ``label`` is among the keys, the returned values are its array.
 
     Returns:
-        SignSeq covering [lo, hi).
+        SignSeq of ``label`` covering [lo, hi).
     """
     if label not in _LABEL_SLOT:
         raise ValueError(f"unknown label {label!r}; expected one of {LABELS}")
@@ -215,24 +232,19 @@ def sieve(label: str, lo: int, hi: int, workers: int = 1) -> SignSeq:
         raise RangeOverflowError(f"hi={hi} exceeds the 64-bit index width")
     if lo < 1 or hi <= lo:
         raise InvalidRangeError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    targets = dict(out or {})
+    for name, arr in targets.items():
+        if name not in _LABEL_SLOT:
+            raise ValueError(f"unknown label {name!r} in out; expected one of {LABELS}")
+        if arr.dtype != np.int8 or arr.shape != (hi - lo,):
+            raise ValueError(f"out[{name!r}] must be an int8 array of length {hi - lo}")
+    if label not in targets:
+        targets[label] = np.empty(hi - lo, dtype=np.int8)
 
-    slot = _LABEL_SLOT[label]
     primes = primes_upto(isqrt(hi - 1)).values
-    bounds = [(s, min(s + SEGMENT, hi)) for s in range(lo, hi, SEGMENT)]
-    out = np.empty(hi - lo, dtype=np.int8)
-
-    def fill(piece: tuple[int, int]) -> np.ndarray:
-        return _segment_tables(piece[0], piece[1], primes)[slot]
-
-    if workers == 1 or len(bounds) == 1:
-        parts = map(fill, bounds)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        parts = pool.map(fill, bounds)
-    for (s, e), part in zip(bounds, parts):
-        out[s - lo : e - lo] = part
-    if workers > 1 and len(bounds) > 1:
-        pool.shutdown()
-    return SignSeq(label, lo, out)
+    for s in range(lo, hi, SEGMENT):
+        e = min(s + SEGMENT, hi)
+        tables = _segment_tables(s, e, primes)
+        for name, arr in targets.items():
+            arr[s - lo : e - lo] = tables[_LABEL_SLOT[name]]
+    return SignSeq(label, lo, targets[label])

@@ -8,7 +8,9 @@ same arrays instead of re-sieving.
 import numpy as np
 import pytest
 
-from mflab.experiments import sign_window
+import mflab.experiments as ex
+from mflab.experiments import WindowStore, sign_window
+from mflab.sieve import sieve
 
 WINDOW_TOP = 10**7 + 256
 
@@ -39,3 +41,22 @@ def lam_window() -> np.ndarray:
 @pytest.fixture(scope="session")
 def sq_window() -> np.ndarray:
     return sign_window("squarefree", WINDOW_TOP)
+
+
+@pytest.fixture
+def fresh_windows(monkeypatch):
+    """An empty window store for one test; the session's windows come back after it."""
+    monkeypatch.setattr(ex, "WINDOWS", WindowStore())
+
+
+@pytest.fixture
+def sieve_calls(monkeypatch):
+    """Record (label, lo, hi) of every sieve pass the window store makes."""
+    calls = []
+
+    def recording(label, lo, hi, out=None):
+        calls.append((label, lo, hi))
+        return sieve(label, lo, hi, out=out)
+
+    monkeypatch.setattr(ex, "sieve", recording)
+    return calls

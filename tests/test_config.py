@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mflab.config import (
@@ -16,7 +17,8 @@ from mflab.config import (
     run,
 )
 from mflab.errors import ConfigError
-from mflab.experiments import run_experiment, two_point_correlation
+import mflab.experiments as ex
+from mflab.experiments import run_experiment, sign_window, two_point_correlation
 
 
 def _write_json(path, obj):
@@ -133,6 +135,30 @@ def test_run_detects_corrupt_cache(tmp_path):
         cache_dir=str(cache_dir),
     )
     assert run(cfg) == EXIT_CACHE
+
+
+def test_run_seeds_windows_from_cache(tmp_path, fresh_windows, sieve_calls, monkeypatch):
+    from mflab.cache import write_cache
+    from mflab.sieve import LABELS, sieve
+
+    cache_dir = tmp_path / "caches"
+    cache_dir.mkdir()
+    for label in LABELS:
+        write_cache(cache_dir / f"{label}.bin", sieve(label, 1, 3001))
+    cfg = RunConfig(
+        experiments=[ExperimentSpec("two_point", "tp", {"h": 1}, [1000, 2999])],
+        output_dir=str(tmp_path / "out"),
+        cache_dir=str(cache_dir),
+    )
+    assert run(cfg) == EXIT_OK
+
+    def no_read(path):
+        raise AssertionError(f"{path} read again after the batch preloaded it")
+
+    monkeypatch.setattr(ex, "read_cache", no_read)
+    for label in LABELS:
+        assert np.array_equal(sign_window(label, 3000), sieve(label, 1, 3001).values)
+    assert sieve_calls == []
 
 
 def test_run_without_goldens_is_ok(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from mflab.cache import write_cache
 from mflab.errors import AllSquaredError, InvalidRangeError, NotDisjointError
 from mflab.experiments import (
-    _MEMO,
     Pattern,
     input_checksum,
     mobius_exponential_sum,
@@ -24,7 +23,7 @@ from mflab.experiments import (
     windowed_sum_energy,
 )
 from mflab.sequences import TrigPoly
-from mflab.sieve import sieve
+from mflab.sieve import SEGMENT, sieve
 
 TAU = 2.0 * math.pi
 
@@ -138,31 +137,46 @@ def test_rotation_orthogonality_is_linear():
     assert got == sum(parts)
 
 
-def test_sign_window_grows_and_reuses():
+def test_sign_window_grows_and_reuses(fresh_windows, sieve_calls):
     first = sign_window("mobius", 100)
     again = sign_window("mobius", 60)
     assert np.array_equal(again, first[:60])
     assert len(sign_window("mobius", 150)) == 150
+    # the first pass filled every label up to one segment
+    assert sieve_calls == [("mobius", 1, SEGMENT + 1)]
+    assert np.array_equal(sign_window("liouville", 5000), sieve("liouville", 1, 5001).values)
+    assert len(sieve_calls) == 1
+
+    grown = sign_window("squarefree", SEGMENT + 5)
+    assert sieve_calls[1] == ("squarefree", SEGMENT + 1, 2 * SEGMENT + 1)
+    assert np.array_equal(grown, sieve("squarefree", 1, SEGMENT + 6).values)
+    assert len(sign_window("mobius", 2 * SEGMENT)) == 2 * SEGMENT
+    assert len(sieve_calls) == 2
+    # views handed out before the growth still hold the old values
+    assert np.array_equal(first, sieve("mobius", 1, 101).values)
 
 
-def test_sign_window_reads_cache(tmp_path, monkeypatch):
+def test_sign_window_rejects_bad_requests(fresh_windows):
+    with pytest.raises(ValueError):
+        sign_window("mertens", 10)
+    with pytest.raises(InvalidRangeError):
+        sign_window("mobius", 0)
+
+
+def test_sign_window_reads_cache(tmp_path, fresh_windows, sieve_calls):
     hi = 5000
     seq = sieve("mobius", 1, hi + 1)
     write_cache(tmp_path / "mobius.bin", seq)
-    saved = _MEMO.pop("mobius", None)
-    try:
-        import mflab.experiments as ex
+    got = sign_window("mobius", hi, cache_dir=tmp_path)
+    assert np.array_equal(got, seq.values[:hi])
+    assert sieve_calls == []
 
-        def no_sieve(*args, **kwargs):
-            raise AssertionError("sieve should not run when a cache covers the window")
 
-        monkeypatch.setattr(ex, "sieve", no_sieve)
-        got = sign_window("mobius", hi, cache_dir=tmp_path)
-        assert np.array_equal(got, seq.values[:hi])
-    finally:
-        _MEMO.pop("mobius", None)
-        if saved is not None:
-            _MEMO["mobius"] = saved
+def test_short_cache_is_extended_from_its_tail(tmp_path, fresh_windows, sieve_calls):
+    write_cache(tmp_path / "mobius.bin", sieve("mobius", 1, 3001))
+    got = sign_window("mobius", 4000, cache_dir=tmp_path)
+    assert sieve_calls == [("mobius", 3001, SEGMENT + 1)]
+    assert np.array_equal(got, sieve("mobius", 1, 4001).values)
 
 
 def test_run_experiment_report_shape(tmp_path):

@@ -1,5 +1,7 @@
 """Sieve correctness against the trial-factorization oracle and known sums."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from mflab.errors import InvalidRangeError, RangeOverflowError
 from mflab.sieve import (
+    LABELS,
     MAX_INDEX,
     SEGMENT,
     PrimeBasis,
@@ -87,6 +90,10 @@ def test_sieve_validation():
         sieve("mertens", 1, 10)
     with pytest.raises(RangeOverflowError):
         sieve("mobius", MAX_INDEX, MAX_INDEX + 2)
+    with pytest.raises(ValueError):
+        sieve("mobius", 1, 10, out={"mertens": np.empty(9, dtype=np.int8)})
+    with pytest.raises(ValueError):
+        sieve("mobius", 1, 10, out={"mobius": np.empty(8, dtype=np.int8)})
 
 
 def test_segment_boundary_consistency():
@@ -97,6 +104,16 @@ def test_segment_boundary_consistency():
     joined = sieve("mobius", lo, hi).values
     whole = sieve("mobius", 1, hi).values[lo - 1 :]
     assert np.array_equal(joined, whole)
+    # one pass with out= fills every label as the single-label calls do,
+    # also into views of a larger buffer, with or without the returned label
+    out = {label: np.full(hi - lo, 7, dtype=np.int8) for label in LABELS}
+    assert sieve("liouville", lo, hi, out=out).values is out["liouville"]
+    buf = np.zeros(hi - lo + 10, dtype=np.int8)
+    mu = sieve("mobius", lo, hi, out={"squarefree": buf[10:]}).values
+    assert np.array_equal(mu, joined) and np.array_equal(out["mobius"], joined)
+    assert np.array_equal(buf[10:], out["squarefree"]) and not buf[:10].any()
+    for label in LABELS:
+        assert np.array_equal(out[label], sieve(label, lo, hi).values)
 
 
 def test_identity_on_medium_window(mu_window, lam_window, sq_window):
@@ -123,13 +140,6 @@ def test_oracle_agreement_on_prefix(mu_window, lam_window, sq_window):
         assert sq_window[n - 1] == sq
 
 
-def test_workers_do_not_change_values():
-    hi = 3 * SEGMENT + 11
-    solo = sieve("liouville", 1, hi, workers=1).values
-    multi = sieve("liouville", 1, hi, workers=3).values
-    assert np.array_equal(solo, multi)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     lo=st.integers(min_value=1, max_value=10**6),
@@ -153,3 +163,41 @@ def test_pointwise_invariants_hold_high_up(lo, width):
     assert np.array_equal(np.abs(mu), sq)
     assert set(np.unique(lam)).issubset({-1, 1})
     assert set(np.unique(sq)).issubset({0, 1})
+
+
+FAR_TOP = 10**13 + 10**6 + 64
+_TRIAL_DIVISORS = np.arange(2, isqrt(FAR_TOP) + 1, dtype=np.int64)
+
+
+def _trial_division(n: int) -> tuple[int, int, int]:
+    """(mobius, liouville, squarefree) at n by dividing out every d <= isqrt(n) in turn.
+
+    No prime table is involved: once the smaller divisors are divided out,
+    only primes still divide the cofactor, and what remains above isqrt(n)
+    is 1 or a prime.
+    """
+    candidates = _TRIAL_DIVISORS[: isqrt(n) - 1]
+    m, total, distinct = n, 0, 0
+    for d in candidates[n % candidates == 0].tolist():
+        if m % d == 0:
+            distinct += 1
+        while m % d == 0:
+            m //= d
+            total += 1
+    if m > 1:
+        distinct += 1
+        total += 1
+    squarefree = int(total == distinct)
+    return (-1) ** distinct * squarefree, (-1) ** total, squarefree
+
+
+@pytest.mark.parametrize("base", [10**12, 10**13])
+@settings(max_examples=4, deadline=None)
+@given(offset=st.integers(min_value=0, max_value=10**6), width=st.integers(min_value=1, max_value=24))
+def test_far_windows_match_trial_division(base, offset, width):
+    lo = base + offset
+    out = {label: np.empty(width, dtype=np.int8) for label in LABELS}
+    sieve("mobius", lo, lo + width, out=out)
+    for i, n in enumerate(range(lo, lo + width)):
+        got = (int(out["mobius"][i]), int(out["liouville"][i]), int(out["squarefree"][i]))
+        assert got == _trial_division(n), n
