@@ -31,8 +31,7 @@ def main() -> int:
     config = load_config(args.config)
     goldens = {}
     for spec in config.experiments:
-        report = run_experiment(spec.id, spec.params, spec.n_grid,
-                                cache_dir=config.cache_dir, workers=config.workers)
+        report = run_experiment(spec.id, spec.params, spec.n_grid, cache_dir=config.cache_dir)
         goldens[spec.name] = {
             "final_abs": report.indicators["final_abs"],
             "tol": 0.0 if spec.id in EXACT_IDS else 1e-9,

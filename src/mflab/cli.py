@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import cache as cache_io
 from .config import EXIT_CACHE, EXIT_CONFIG, load_config, run
 from .errors import CacheChecksumError, CacheFormatError, ConfigError
-from .experiments import EXPERIMENT_IDS, run_experiment
+from .experiments import EXPERIMENTS, run_experiment
 from .measures import affinity, hellinger, read_json, write_json
 from .sequences import BoundedSeq, correlation_table
 from .sieve import LABELS, sieve
@@ -40,12 +39,6 @@ def _add_theta_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--theta", type=float, default=None, help="angle in radians")
     group.add_argument("--theta-over-2pi", type=float, default=None,
                        help="angle as a multiple of 2*pi")
-
-
-def _resolve_theta(args: argparse.Namespace) -> float | None:
-    if args.theta_over_2pi is not None:
-        return 2.0 * math.pi * args.theta_over_2pi
-    return args.theta
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a batch config or a single experiment")
     p.add_argument("--config", default=None, help="batch config JSON")
-    p.add_argument("--id", choices=EXPERIMENT_IDS, default=None)
+    p.add_argument("--id", choices=EXPERIMENTS, default=None)
     p.add_argument("--n-grid", type=_shift_list, default=None)
     p.add_argument("--param", action="append", default=[],
                    metavar="KEY=JSON", help="experiment parameter, repeatable")
@@ -106,7 +99,8 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     window = sieve(args.label, 1, args.n + args.kmax + 1)
-    table = correlation_table(BoundedSeq.from_signs(window), args.n, args.kmax)
+    g = BoundedSeq.from_samples(window.values, label=args.label, sup_bound=1.0)
+    table = correlation_table(g, args.n, args.kmax)
     table.write_csv(args.out)
     print(f"wrote {args.out}: F_N(k) for k = 0..{args.kmax} at N = {args.n}")
     return 0
@@ -114,7 +108,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     window = sieve(args.label, 1, args.n + 1)
-    gram = periodogram(BoundedSeq.from_signs(window), args.n, bins=args.bins)
+    g = BoundedSeq.from_samples(window.values, label=args.label, sup_bound=1.0)
+    gram = periodogram(g, args.n, bins=args.bins)
     write_json(gram.measure, args.out)
     print(f"wrote {args.out}: size-{args.n} periodogram on {gram.measure.bins} bins")
     return 0
@@ -163,9 +158,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             params[key] = json.loads(raw)
         except json.JSONDecodeError:
             params[key] = raw
-    theta = _resolve_theta(args)
-    if theta is not None:
-        params["theta"] = theta
+    # passed through as given; run_experiment converts turns to radians
+    if args.theta is not None:
+        params["theta"] = args.theta
+    if args.theta_over_2pi is not None:
+        params["theta_over_2pi"] = args.theta_over_2pi
     report = run_experiment(args.id, params, args.n_grid,
                             cache_dir=os.environ.get("MFL_CACHE_DIR"))
     if args.out:

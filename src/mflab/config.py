@@ -9,7 +9,6 @@ Config schema (all paths relative to the invoking directory):
       ],
       "output_dir": "reports",
       "cache_dir": null,
-      "workers": 1,
       "allow_large": false,
       "golden_file": "goldens/decay_battery.json"
     }
@@ -37,7 +36,7 @@ from .cache import read_cache
 from .errors import CacheChecksumError, CacheFormatError, ConfigError
 from .experiments import (
     DEFAULT_GRID,
-    EXPERIMENT_IDS,
+    EXPERIMENTS,
     LARGE_N_LIMIT,
     adopt_window,
     run_experiment,
@@ -62,7 +61,6 @@ class RunConfig:
     experiments: list[ExperimentSpec]
     output_dir: str = "reports"
     cache_dir: str | None = None
-    workers: int = 1
     allow_large: bool = False
     golden_file: str | None = None
 
@@ -81,7 +79,7 @@ def parse_config(obj: dict) -> RunConfig:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"experiment #{i} must be an object with an 'id'")
         exp_id = entry["id"]
-        if exp_id not in EXPERIMENT_IDS:
+        if exp_id not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment id {exp_id!r}")
         name = str(entry.get("name", exp_id))
         if name in seen:
@@ -98,14 +96,10 @@ def parse_config(obj: dict) -> RunConfig:
             raise ConfigError(
                 f"n_grid of {name!r} exceeds {LARGE_N_LIMIT}; set allow_large to opt in")
         specs.append(ExperimentSpec(exp_id, name, params, sorted(grid)))
-    workers = obj.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be an integer >= 1")
     return RunConfig(
         experiments=specs,
         output_dir=str(obj.get("output_dir", "reports")),
         cache_dir=obj.get("cache_dir"),
-        workers=workers,
         allow_large=allow_large,
         golden_file=obj.get("golden_file"),
     )
@@ -174,8 +168,7 @@ def run(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
     for spec in config.experiments:
-        report = run_experiment(spec.id, spec.params, spec.n_grid,
-                                cache_dir=config.cache_dir, workers=config.workers)
+        report = run_experiment(spec.id, spec.params, spec.n_grid, cache_dir=config.cache_dir)
         report.write(out_dir / f"{spec.name}.json")
         for problem in _compare_golden(report, goldens.get(spec.name, {})):
             failures.append(f"{spec.name}: {problem}")

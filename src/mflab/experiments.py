@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -298,8 +298,6 @@ def rotation_orthogonality(alpha: float, poly: TrigPoly, N: int,
 # ---------------------------------------------------------------------------
 # Reports
 
-ExperimentFn = Callable[..., object]
-
 
 @dataclass
 class ExperimentReport:
@@ -349,64 +347,41 @@ def _poly_from_params(params: dict) -> TrigPoly:
     return TrigPoly(np.array(freqs)[order], np.array(coeffs)[order])
 
 
-def _run_on_grid(exp_id: str, params: dict, grid: list[int],
-                 cache_dir: str | Path | None) -> list[complex]:
-    values: list[complex] = []
-    for N in grid:
-        if exp_id == "mobius_exponential":
-            v = mobius_exponential_sum(_resolve_theta(params), N, cache_dir)
-        elif exp_id == "squarefree_shifts":
-            v = squarefree_modulated_sum(params["shifts"], _resolve_theta(params), N, cache_dir)
-        elif exp_id == "pattern":
-            pat = Pattern(tuple(params["shifts"]), tuple(params["exponents"]))
-            v = pattern_correlation(pat, N, params.get("label", "mobius"), cache_dir)
-        elif exp_id == "two_point":
-            v = two_point_correlation(int(params["h"]), N, cache_dir)
-        elif exp_id == "small_fraction":
-            v = small_correlation_fraction(int(params["H"]), N, float(params["delta"]), cache_dir)
-        elif exp_id == "window_energy":
-            direct, _ = windowed_sum_energy(int(params["k"]), int(params["h"]), N,
-                                            cache_dir, with_spectral=False)
-            v = direct / int(params["h"]) ** 2
-        elif exp_id == "short_interval":
-            v = short_interval_average(int(params["H"]), N, cache_dir)
-        elif exp_id == "rotation":
-            v = rotation_orthogonality(float(params["alpha"]), _poly_from_params(params), N, cache_dir)
-        else:
-            raise ValueError(f"unknown experiment id {exp_id!r}")
-        values.append(complex(v))
-    return values
-
-
-EXPERIMENT_IDS = (
-    "mobius_exponential",
-    "squarefree_shifts",
-    "pattern",
-    "two_point",
-    "small_fraction",
-    "window_energy",
-    "short_interval",
-    "rotation",
-)
+# id -> adapter (params, N, cache_dir) -> value.  Each adapter names its
+# experiment at call time, so a substitute installed on this module (a
+# tracing wrapper) sees every call.
+EXPERIMENTS: dict[str, Callable[[dict, int, str | Path | None], complex]] = {
+    "mobius_exponential": lambda p, N, c: mobius_exponential_sum(_resolve_theta(p), N, c),
+    "squarefree_shifts": lambda p, N, c: squarefree_modulated_sum(
+        p["shifts"], _resolve_theta(p), N, c),
+    "pattern": lambda p, N, c: pattern_correlation(
+        Pattern(tuple(p["shifts"]), tuple(p["exponents"])), N, p.get("label", "mobius"), c),
+    "two_point": lambda p, N, c: two_point_correlation(int(p["h"]), N, c),
+    "small_fraction": lambda p, N, c: small_correlation_fraction(
+        int(p["H"]), N, float(p["delta"]), c),
+    "window_energy": lambda p, N, c: windowed_sum_energy(
+        int(p["k"]), int(p["h"]), N, c, with_spectral=False)[0] / int(p["h"]) ** 2,
+    "short_interval": lambda p, N, c: short_interval_average(int(p["H"]), N, c),
+    "rotation": lambda p, N, c: rotation_orthogonality(
+        float(p["alpha"]), _poly_from_params(p), N, c),
+}
 
 
 def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None,
-                   cache_dir: str | Path | None = None,
-                   workers: int = 1) -> ExperimentReport:
+                   cache_dir: str | Path | None = None) -> ExperimentReport:
     """Run one experiment over an N grid and assemble its report.
 
-    The shard plan (chunk size and worker count) is recorded in the params
-    so that reruns compare like for like; partial sums are always merged in
-    fixed chunk order regardless of the worker count.
+    The report carries the params exactly as passed; the checksum covers
+    the id, the params and the sorted grid.
     """
-    grid = sorted(int(n) for n in (grid or DEFAULT_GRID))
-    if exp_id not in EXPERIMENT_IDS:
+    adapter = EXPERIMENTS.get(exp_id)
+    if adapter is None:
         raise ValueError(f"unknown experiment id {exp_id!r}")
+    grid = sorted(int(n) for n in (grid or DEFAULT_GRID))
     params = dict(params)
-    params["shards"] = {"chunk": CHUNK, "workers": int(workers)}
     checksum = input_checksum(exp_id, params, grid)
     t0 = time.perf_counter()
-    values = _run_on_grid(exp_id, params, grid, cache_dir)
+    values = [complex(adapter(params, N, cache_dir)) for N in grid]
     elapsed = (time.perf_counter() - t0) * 1000.0
     mags = [abs(v) for v in values]
     indicators = {

@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidRangeError, LagTooLargeError
-from .sieve import SignSeq
 from .summation import KahanAccumulator, index_chunks
 
 
@@ -47,21 +46,6 @@ class BoundedSeq:
 
     def eval(self, idx: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(idx, dtype=np.int64))
-
-    @classmethod
-    def from_signs(cls, seq: SignSeq) -> "BoundedSeq":
-        """Wrap a sieve window; indices outside it raise InvalidRangeError."""
-        if seq.start != 1:
-            # keep the fast integer path simple: re-anchor is the caller's job
-            raise InvalidRangeError("from_signs expects a window starting at index 1")
-        values = seq.values
-
-        def fn(idx: np.ndarray) -> np.ndarray:
-            if len(idx) and (idx[0] < 1 or idx[-1] > len(values)):
-                raise InvalidRangeError("index outside the sampled window")
-            return values[idx - 1].astype(np.float64)
-
-        return cls(fn, 1.0, label=seq.label, samples=values)
 
     @classmethod
     def from_samples(cls, values: np.ndarray, label: str = "custom",

@@ -8,7 +8,7 @@ module constant, so a given input always produces bit-identical output.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -18,38 +18,21 @@ CHUNK = 1 << 20
 class KahanAccumulator:
     """Kahan-compensated running sum over complex (or real) addends."""
 
-    __slots__ = ("_sum", "_comp", "count")
+    __slots__ = ("_sum", "_comp")
 
     def __init__(self) -> None:
         self._sum = 0j
         self._comp = 0j
-        self.count = 0
 
     def add(self, value: complex) -> None:
         y = complex(value) - self._comp
         t = self._sum + y
         self._comp = (t - self._sum) - y
         self._sum = t
-        self.count += 1
 
     @property
     def total(self) -> complex:
         return self._sum
-
-
-def kahan_fold(parts: Iterable[complex]) -> complex:
-    """Fold addends in iteration order with Kahan compensation."""
-    acc = KahanAccumulator()
-    for part in parts:
-        acc.add(part)
-    return acc.total
-
-
-def compensated_sum(values: np.ndarray) -> complex:
-    """Sum a 1-d array: pairwise inside CHUNK-sized chunks, Kahan across."""
-    return kahan_fold(
-        complex(np.sum(values[i : i + CHUNK])) for i in range(0, len(values), CHUNK)
-    )
 
 
 def index_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:

@@ -121,19 +121,17 @@ def residue_count(p: int, shifts) -> int:
 def is_admissible(shifts) -> bool:
     """True when the shift set misses a residue class mod p^2 for every p.
 
-    Only primes with p^2 <= |shifts| can cover all classes, so only those
-    are checked.  The empty set is admissible.  Translation invariant.
+    Only moduli q^2 <= |shifts| can have every class covered, so only those
+    are checked.  Composite q are checked too, which never changes the
+    verdict: covering every class mod q^2 covers every class mod p^2 for
+    each prime p dividing q.  The empty set is admissible.  Translation
+    invariant.
     """
-    shifts = sorted(set(int(a) for a in shifts))
+    shifts = set(int(a) for a in shifts)
     if any(a < 0 for a in shifts):
         raise InvalidRangeError("shifts must be non-negative")
-    size = len(shifts)
-    if size == 0:
-        return True
-    for p in primes_upto(isqrt(size)).values:
-        if residue_count(int(p), shifts) == int(p) * int(p):
-            return False
-    return True
+    return all(len({a % (q * q) for a in shifts}) < q * q
+               for q in range(2, isqrt(len(shifts)) + 1))
 
 
 @dataclass

@@ -52,9 +52,10 @@ def test_criterion_01_sieve_exactness(mu_window, lam_window, sq_window):
             break
 
     top = 10**8
-    mu = sieve("mobius", 1, top + 1).values
-    lam = sieve("liouville", 1, top + 1).values
-    sq = sieve("squarefree", 1, top + 1).values
+    # one pass fills all three labels; their parity counters stay independent
+    lam = np.empty(top, dtype=np.int8)
+    sq = np.empty(top, dtype=np.int8)
+    mu = sieve("mobius", 1, top + 1, out={"liouville": lam, "squarefree": sq}).values
     identity_ok = bool(np.array_equal(mu, lam * sq))
     del mu, lam, sq
     elapsed = time.perf_counter() - t0

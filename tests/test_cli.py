@@ -2,11 +2,11 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from mflab.cache import read_cache, write_cache
 from mflab.cli import main
@@ -102,8 +102,12 @@ def test_experiment_theta_flags(capsys):
     code = main(["experiment", "--id", "mobius_exponential",
                  "--theta-over-2pi", "0.25", "--n-grid", "1000"])
     assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["params"]["theta"] == pytest.approx(np.pi / 2.0)
+    turns = json.loads(capsys.readouterr().out)
+    assert turns["params"] == {"theta_over_2pi": 0.25}
+    assert main(["experiment", "--id", "mobius_exponential",
+                 "--theta", repr(math.pi / 2), "--n-grid", "1000"]) == 0
+    radians = json.loads(capsys.readouterr().out)
+    assert turns["grid"] == radians["grid"]
     # radians and turns flags are mutually exclusive
     assert main(["experiment", "--id", "mobius_exponential", "--theta", "1.0",
                  "--theta-over-2pi", "0.5", "--n-grid", "1000"]) == 2

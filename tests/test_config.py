@@ -29,7 +29,6 @@ def _write_json(path, obj):
 def test_parse_minimal_config():
     cfg = parse_config({"experiments": [{"id": "two_point", "params": {"h": 1}}]})
     assert cfg.experiments[0].name == "two_point"
-    assert cfg.workers == 1
     assert cfg.output_dir == "reports"
 
 
@@ -47,8 +46,6 @@ def test_parse_config_rejections():
         ]})
     with pytest.raises(ConfigError):
         parse_config({"experiments": [{"id": "two_point", "n_grid": [0]}]})
-    with pytest.raises(ConfigError):
-        parse_config({"experiments": [{"id": "two_point"}], "workers": 0})
 
 
 def test_parse_config_large_n_gate():

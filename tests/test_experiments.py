@@ -9,6 +9,7 @@ import pytest
 from mflab.cache import write_cache
 from mflab.errors import AllSquaredError, InvalidRangeError, NotDisjointError
 from mflab.experiments import (
+    EXPERIMENTS,
     Pattern,
     input_checksum,
     mobius_exponential_sum,
@@ -186,7 +187,7 @@ def test_run_experiment_report_shape(tmp_path):
     assert len(report.values) == 2
     assert set(report.indicators) == {
         "final_abs", "max_abs", "decreasing_abs", "endpoint_decay"}
-    assert report.params["shards"]["workers"] == 1
+    assert report.params == {"h": 1}
     out = tmp_path / "report.json"
     report.write(out)
     data = json.loads(out.read_text())
@@ -218,7 +219,34 @@ def test_checksum_tracks_inputs():
     assert input_checksum("two_point", {"h": 1}, [1000]) == base
 
 
-def test_worker_count_does_not_change_values():
-    solo = run_experiment("mobius_exponential", {"theta": 1.1}, [3000])
-    multi = run_experiment("mobius_exponential", {"theta": 1.1}, [3000], workers=4)
-    assert solo.values == multi.values
+# per id: params for run_experiment, and the same value by a direct call
+REGISTRY_CASES = {
+    "mobius_exponential": (
+        {"theta_over_2pi": 0.3}, lambda N: mobius_exponential_sum(TAU * 0.3, N)),
+    "squarefree_shifts": (
+        {"shifts": [1, 2], "theta": 0.7}, lambda N: squarefree_modulated_sum([1, 2], 0.7, N)),
+    "pattern": (
+        {"shifts": [0, 1, 2], "exponents": [1, 1, 2], "label": "liouville"},
+        lambda N: pattern_correlation(Pattern((0, 1, 2), (1, 1, 2)), N, "liouville")),
+    "two_point": ({"h": 3}, lambda N: two_point_correlation(3, N)),
+    "small_fraction": (
+        {"H": 8, "delta": 0.01}, lambda N: small_correlation_fraction(8, N, 0.01)),
+    "window_energy": (
+        {"k": 3, "h": 10},
+        lambda N: windowed_sum_energy(3, 10, N, with_spectral=False)[0] / 10**2),
+    "short_interval": ({"H": 100}, lambda N: short_interval_average(100, N)),
+    "rotation": (
+        {"alpha": 1.3, "poly": [{"freq": 2.5, "im": -1.0}, {"freq": 1.0, "re": 2.0}]},
+        lambda N: rotation_orthogonality(
+            1.3, TrigPoly(np.array([1.0, 2.5]), np.array([2.0 + 0j, -1j])), N)),
+}
+
+
+@pytest.mark.parametrize("exp_id", list(EXPERIMENTS))
+def test_registry_dispatch_matches_direct_call(exp_id):
+    params, direct = REGISTRY_CASES[exp_id]
+    N = 5000
+    report = run_experiment(exp_id, params, [N])
+    assert report.values == [complex(direct(N))]
+    assert report.params == params
+    assert "shards" not in report.params

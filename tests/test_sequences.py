@@ -51,7 +51,7 @@ def test_correlation_table_validation():
 def test_sign_correlation_is_exact_integer_ratio():
     N, K = 2000, 8
     seq = sieve("mobius", 1, N + K + 1)
-    g = BoundedSeq.from_signs(seq)
+    g = BoundedSeq.from_samples(seq.values, label="mobius", sup_bound=1.0)
     table = correlation_table(g, N, K)
     vals = [int(v) for v in seq.values]
     for k in range(K + 1):
