@@ -16,6 +16,8 @@ Config schema (all paths relative to the invoking directory):
 Exit code semantics of run(): 0 all good, 1 a golden comparison failed,
 2 the config did not parse or validate, 3 a referenced sieve cache is
 corrupt.  Window lengths above 1e7 are refused unless allow_large is set.
+Keys other than the ones above, and params the experiment does not accept,
+are refused too, so a misspelled key cannot silently change a run.
 
 A golden file maps experiment names to expected indicator values:
 
@@ -29,16 +31,16 @@ first, and max_final_abs is an absolute ceiling on the final magnitude.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .cache import read_cache
 from .errors import CacheChecksumError, CacheFormatError, ConfigError
 from .experiments import (
     DEFAULT_GRID,
-    EXPERIMENTS,
     LARGE_N_LIMIT,
     adopt_window,
+    check_params,
     run_experiment,
 )
 
@@ -65,10 +67,22 @@ class RunConfig:
     golden_file: str | None = None
 
 
+def _reject_unknown_keys(obj: dict, known: type, where: str) -> None:
+    unknown = sorted(set(obj) - {f.name for f in fields(known)})
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+
+
 def parse_config(obj: dict) -> RunConfig:
-    """Validate a parsed JSON object into a RunConfig; raises ConfigError."""
+    """Validate a parsed JSON object into a RunConfig; raises ConfigError.
+
+    The keys of the root and of each experiment entry are the fields of
+    RunConfig and ExperimentSpec; any other key, and any param the
+    experiment does not accept, is refused rather than ignored.
+    """
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
+    _reject_unknown_keys(obj, RunConfig, "the config root")
     raw = obj.get("experiments")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("config needs a non-empty 'experiments' list")
@@ -79,8 +93,7 @@ def parse_config(obj: dict) -> RunConfig:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"experiment #{i} must be an object with an 'id'")
         exp_id = entry["id"]
-        if exp_id not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment id {exp_id!r}")
+        _reject_unknown_keys(entry, ExperimentSpec, f"experiment #{i}")
         name = str(entry.get("name", exp_id))
         if name in seen:
             raise ConfigError(f"duplicate experiment name {name!r}")
@@ -88,6 +101,10 @@ def parse_config(obj: dict) -> RunConfig:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"params of {name!r} must be an object")
+        try:
+            check_params(exp_id, params)
+        except ValueError as exc:
+            raise ConfigError(f"experiment {name!r}: {exc}") from exc
         grid = entry.get("n_grid", list(DEFAULT_GRID))
         if (not isinstance(grid, list) or not grid
                 or not all(isinstance(n, int) and n >= 1 for n in grid)):

@@ -3,10 +3,17 @@
 Each experiment evaluates one normalised average at a grid of window
 lengths N and reports the values together with coarse decay indicators.
 Averages over integer-valued windows are computed in exact integer
-arithmetic and divided once at the end; modulated averages go through the
-chunked compensated summation helper.  Reports are written as JSON with
-sorted keys, so identical configurations produce byte-identical files
-apart from the wall-clock field.
+arithmetic and divided once at the end.  Modulated averages
+(1/N) sum mask[n-1] exp(i n theta) use the row-phase identity
+exp(i theta (n0 + j)) = exp(i theta n0) exp(i theta j): a small matrix
+product with one table of exp(i theta j), j < ROW, sums each row of ROW
+terms, and each row sum is turned by its phase exp(i theta n0) (see
+_modulated_average).  The phase error per term is about |theta| * n * eps,
+no worse than one exp per term; the float64 row starts n0 are exact below
+2**53.  Each experiment lists the params it accepts in EXPERIMENTS, and
+run_experiment refuses any other.  Reports are written as JSON with sorted
+keys, so identical configurations produce byte-identical files apart from
+the wall-clock field.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,10 @@ THETA_STAR = 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_GRID = (10**5, 10**6, 10**7)
 LARGE_N_LIMIT = 10**7
+
+# _modulated_average: terms per row of the phase table, terms per piece
+ROW = 1 << 10
+BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +127,37 @@ def adopt_window(seq: SignSeq) -> None:
 
 
 def _modulated_average(mask: np.ndarray, theta: float, N: int) -> complex:
-    """(1/N) * sum_{n=1..N} mask[n-1] * exp(i n theta), exact when theta = 0."""
+    """(1/N) * sum_{n=1..N} mask[n-1] * exp(i n theta), exact when theta = 0.
+
+    Uses exp(i theta (n0 + j)) = exp(i theta n0) * exp(i theta j): the
+    mask is cut into rows of ROW consecutive terms starting at n0, one
+    product with a (ROW, 2) table of cos(theta j), sin(theta j), j < ROW,
+    sums every row of a BLOCK-sized piece, and each row sum is turned by
+    its row phase exp(i theta n0).  The turned row sums are summed per
+    CHUNK and the chunk totals folded with Kahan compensation.  The phase
+    theta*n0 is rounded once per row, so the phase error per term is about
+    |theta| * n * eps, no worse than one exp per term; the float64 row
+    starts n0 are exact below 2**53.
+    """
     if theta == 0.0:
         return complex(int(np.sum(mask[:N], dtype=np.int64)) / N)
+    j = theta * np.arange(ROW, dtype=np.float64)
+    table = np.stack((np.cos(j), np.sin(j)), axis=1)
+    buf = np.empty(BLOCK, dtype=np.float64)  # reused for every piece
     acc = KahanAccumulator()
     for lo in range(0, N, CHUNK):
         hi = min(lo + CHUNK, N)
-        # one complex buffer per chunk, reused in place: n -> i*theta*n ->
-        # exp -> times mask; released before the next chunk is allocated
-        terms = np.arange(lo + 1, hi + 1, dtype=np.complex128)
-        terms *= 1j * theta
-        np.exp(terms, out=terms)
-        terms *= mask[lo:hi]
-        acc.add(np.sum(terms))
-        del terms
+        sums = np.empty((-(-(hi - lo) // ROW), 2))  # (cos, sin) sum per row
+        for b in range(lo, hi, BLOCK):
+            size = min(BLOCK, hi - b)
+            rows = -(-size // ROW)
+            buf[:size] = mask[b : b + size]
+            buf[size : rows * ROW] = 0.0
+            first = (b - lo) // ROW
+            np.matmul(buf[: rows * ROW].reshape(rows, ROW), table,
+                      out=sums[first : first + rows])
+        starts = np.arange(lo + 1, hi + 1, ROW, dtype=np.float64)
+        acc.add(np.sum(np.exp(1j * theta * starts) * (sums[:, 0] + 1j * sums[:, 1])))
     return acc.total / N
 
 
@@ -347,36 +375,70 @@ def _poly_from_params(params: dict) -> TrigPoly:
     return TrigPoly(np.array(freqs)[order], np.array(coeffs)[order])
 
 
-# id -> adapter (params, N, cache_dir) -> value.  Each adapter names its
-# experiment at call time, so a substitute installed on this module (a
-# tracing wrapper) sees every call.
-EXPERIMENTS: dict[str, Callable[[dict, int, str | Path | None], complex]] = {
-    "mobius_exponential": lambda p, N, c: mobius_exponential_sum(_resolve_theta(p), N, c),
-    "squarefree_shifts": lambda p, N, c: squarefree_modulated_sum(
-        p["shifts"], _resolve_theta(p), N, c),
-    "pattern": lambda p, N, c: pattern_correlation(
-        Pattern(tuple(p["shifts"]), tuple(p["exponents"])), N, p.get("label", "mobius"), c),
-    "two_point": lambda p, N, c: two_point_correlation(int(p["h"]), N, c),
-    "small_fraction": lambda p, N, c: small_correlation_fraction(
-        int(p["H"]), N, float(p["delta"]), c),
-    "window_energy": lambda p, N, c: windowed_sum_energy(
-        int(p["k"]), int(p["h"]), N, c, with_spectral=False)[0] / int(p["h"]) ** 2,
-    "short_interval": lambda p, N, c: short_interval_average(int(p["H"]), N, c),
-    "rotation": lambda p, N, c: rotation_orthogonality(
-        float(p["alpha"]), _poly_from_params(p), N, c),
+class Experiment(NamedTuple):
+    """A registry entry: the param names the experiment accepts, and its
+    adapter (params, N, cache_dir) -> value."""
+
+    params: frozenset[str]
+    run: Callable[[dict, int, str | Path | None], complex]
+
+
+# Each adapter names its experiment at call time, so a substitute installed
+# on this module (a tracing wrapper) sees every call.
+EXPERIMENTS: dict[str, Experiment] = {
+    "mobius_exponential": Experiment(
+        frozenset({"theta", "theta_over_2pi"}),
+        lambda p, N, c: mobius_exponential_sum(_resolve_theta(p), N, c)),
+    "squarefree_shifts": Experiment(
+        frozenset({"shifts", "theta", "theta_over_2pi"}),
+        lambda p, N, c: squarefree_modulated_sum(p["shifts"], _resolve_theta(p), N, c)),
+    "pattern": Experiment(
+        frozenset({"shifts", "exponents", "label"}),
+        lambda p, N, c: pattern_correlation(
+            Pattern(tuple(p["shifts"]), tuple(p["exponents"])), N, p.get("label", "mobius"), c)),
+    "two_point": Experiment(
+        frozenset({"h"}),
+        lambda p, N, c: two_point_correlation(int(p["h"]), N, c)),
+    "small_fraction": Experiment(
+        frozenset({"H", "delta"}),
+        lambda p, N, c: small_correlation_fraction(int(p["H"]), N, float(p["delta"]), c)),
+    "window_energy": Experiment(
+        frozenset({"k", "h"}),
+        lambda p, N, c: windowed_sum_energy(
+            int(p["k"]), int(p["h"]), N, c, with_spectral=False)[0] / int(p["h"]) ** 2),
+    "short_interval": Experiment(
+        frozenset({"H"}),
+        lambda p, N, c: short_interval_average(int(p["H"]), N, c)),
+    "rotation": Experiment(
+        frozenset({"alpha", "poly"}),
+        lambda p, N, c: rotation_orthogonality(float(p["alpha"]), _poly_from_params(p), N, c)),
 }
+
+
+def check_params(exp_id: str, params: dict) -> None:
+    """Raise ValueError unless exp_id is registered and accepts every param
+    name given, with at most one of theta and theta_over_2pi."""
+    entry = EXPERIMENTS.get(exp_id)
+    if entry is None:
+        raise ValueError(f"unknown experiment id {exp_id!r}")
+    unknown = sorted(set(params) - entry.params)
+    if unknown:
+        raise ValueError(f"experiment {exp_id!r} has no param {', '.join(map(repr, unknown))}; "
+                         f"it accepts {', '.join(sorted(entry.params))}")
+    if "theta" in params and "theta_over_2pi" in params:
+        raise ValueError("give one of theta and theta_over_2pi, not both")
 
 
 def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None,
                    cache_dir: str | Path | None = None) -> ExperimentReport:
     """Run one experiment over an N grid and assemble its report.
 
-    The report carries the params exactly as passed; the checksum covers
-    the id, the params and the sorted grid.
+    Unknown ids and param names raise ValueError (see check_params).  The
+    report carries the params exactly as passed; the checksum covers the
+    id, the params and the sorted grid.
     """
-    adapter = EXPERIMENTS.get(exp_id)
-    if adapter is None:
-        raise ValueError(f"unknown experiment id {exp_id!r}")
+    check_params(exp_id, params)
+    adapter = EXPERIMENTS[exp_id].run
     grid = sorted(int(n) for n in (grid or DEFAULT_GRID))
     params = dict(params)
     checksum = input_checksum(exp_id, params, grid)

@@ -14,8 +14,10 @@ flag.  The two parities are accumulated separately on purpose: the pointwise
 identity mobius = liouville * squarefree then cross-checks two independent
 counting routes instead of restating a definition.
 
-Indices are 1-based and 64-bit throughout.  Ranges are half open: [lo, hi)
-covers lo, lo+1, ..., hi-1.
+Indices are 1-based and 64-bit throughout (MAX_INDEX).  Ranges are half
+open: [lo, hi) covers lo, lo+1, ..., hi-1.  sieve() takes hi up to
+SIEVE_LIMIT = 10**16: its base primes up to isqrt(hi - 1) come from one
+boolean table, which at that limit holds 1e8 entries (100 MB).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import InvalidRangeError, RangeOverflowError
 
 SEGMENT = 1 << 20
 MAX_INDEX = 2**63 - 1
+SIEVE_LIMIT = 10**16  # largest hi sieve() takes: a 1e8-entry base-prime table
 FACTOR_ORACLE_LIMIT = 10**9
 
 LABELS = ("mobius", "liouville", "squarefree")
@@ -218,7 +221,10 @@ def sieve(label: str, lo: int, hi: int,
     Args:
         label: "mobius", "liouville" or "squarefree"; the label returned.
         lo: first index, >= 1.
-        hi: one past the last index; must satisfy lo < hi <= 2**63 - 1.
+        hi: one past the last index; must satisfy lo < hi <= SIEVE_LIMIT
+            (10**16, far below MAX_INDEX), so the base-prime table stays
+            at most 1e8 booleans.  A larger hi raises RangeOverflowError
+            before anything is allocated.
         out: optional label -> int8 array of length hi - lo.  Arrays may be
             views into larger buffers; they are written in place.  When
             ``label`` is among the keys, the returned values are its array.
@@ -228,8 +234,9 @@ def sieve(label: str, lo: int, hi: int,
     """
     if label not in _LABEL_SLOT:
         raise ValueError(f"unknown label {label!r}; expected one of {LABELS}")
-    if hi > MAX_INDEX:
-        raise RangeOverflowError(f"hi={hi} exceeds the 64-bit index width")
+    if hi > SIEVE_LIMIT:
+        raise RangeOverflowError(
+            f"hi={hi} exceeds SIEVE_LIMIT={SIEVE_LIMIT}, the bound of the base-prime table")
     if lo < 1 or hi <= lo:
         raise InvalidRangeError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     targets = dict(out or {})

@@ -113,6 +113,14 @@ def test_experiment_theta_flags(capsys):
                  "--theta-over-2pi", "0.5", "--n-grid", "1000"]) == 2
 
 
+def test_experiment_rejects_unknown_param(capsys):
+    assert main(["experiment", "--id", "mobius_exponential",
+                 "--param", "theta_over_2pl=0.618", "--n-grid", "1000"]) == 2
+    assert "'theta_over_2pl'" in capsys.readouterr().out
+    assert main(["experiment", "--id", "mobius_exponential", "--param", "theta=1.0",
+                 "--theta-over-2pi", "0.5", "--n-grid", "1000"]) == 2
+
+
 def test_experiment_needs_exactly_one_mode(tmp_path, capsys):
     assert main(["experiment"]) == 2
     cfg = tmp_path / "cfg.json"

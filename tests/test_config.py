@@ -46,6 +46,22 @@ def test_parse_config_rejections():
         ]})
     with pytest.raises(ConfigError):
         parse_config({"experiments": [{"id": "two_point", "n_grid": [0]}]})
+    # keys and params nothing reads are refused, naming the key
+    tp = {"id": "two_point", "params": {"h": 1}}
+    with pytest.raises(ConfigError, match="'alow_large'"):
+        parse_config({"experiments": [tp], "alow_large": True})
+    with pytest.raises(ConfigError, match="'n_gird'"):
+        parse_config({"experiments": [{**tp, "n_gird": [5]}]})
+    with pytest.raises(ConfigError, match="'workers'"):
+        parse_config({"experiments": [tp], "workers": 2})
+    with pytest.raises(ConfigError, match="'theta_over_2pl'"):
+        parse_config({"experiments": [
+            {"id": "mobius_exponential", "params": {"theta_over_2pl": 0.618}}]})
+    with pytest.raises(ConfigError, match="'theta'"):
+        parse_config({"experiments": [{"id": "two_point", "params": {"h": 1, "theta": 0.5}}]})
+    with pytest.raises(ConfigError, match="not both"):
+        parse_config({"experiments": [
+            {"id": "mobius_exponential", "params": {"theta": 1.0, "theta_over_2pi": 0.5}}]})
 
 
 def test_parse_config_large_n_gate():

@@ -10,6 +10,7 @@ from mflab.cache import write_cache
 from mflab.errors import AllSquaredError, InvalidRangeError, NotDisjointError
 from mflab.experiments import (
     EXPERIMENTS,
+    THETA_STAR,
     Pattern,
     input_checksum,
     mobius_exponential_sum,
@@ -25,6 +26,7 @@ from mflab.experiments import (
 )
 from mflab.sequences import TrigPoly
 from mflab.sieve import SEGMENT, sieve
+from mflab.summation import CHUNK
 
 TAU = 2.0 * math.pi
 
@@ -42,6 +44,30 @@ def test_exponential_sum_matches_direct_evaluation(mu_window):
     n = np.arange(1, N + 1, dtype=np.float64)
     direct = np.sum(mu_window[:N] * np.exp(1j * theta * n)) / N
     assert abs(got - direct) < 1e-12
+
+
+# N on both sides of the row (1024), piece (65536) and CHUNK edges
+KERNEL_NS = [1, 1023, 1024, 1025, 65537, CHUNK + 17]
+KERNEL_THETAS = [THETA_STAR, -2.9, math.pi, 1e-6, TAU * 0.999]
+
+
+def _direct_average(mask, theta, N):
+    n = np.arange(1, N + 1, dtype=np.float64)
+    return np.sum(mask[:N] * np.exp(1j * theta * n)) / N
+
+
+@pytest.mark.parametrize("N", KERNEL_NS)
+@pytest.mark.parametrize("theta", KERNEL_THETAS)
+def test_exponential_sum_kernel_matches_per_element_oracle(mu_window, theta, N):
+    got = mobius_exponential_sum(theta, N)
+    assert abs(got - _direct_average(mu_window, theta, N)) < 1e-12
+
+
+def test_squarefree_modulated_sum_matches_per_element_oracle(mu_window, sq_window):
+    N = CHUNK + 17
+    mask = mu_window[:N] * sq_window[1 : 1 + N] * sq_window[3 : 3 + N]
+    got = squarefree_modulated_sum([1, 3], THETA_STAR, N)
+    assert abs(got - _direct_average(mask, THETA_STAR, N)) < 1e-12
 
 
 def test_two_point_pinned_values(lam_window):
@@ -200,6 +226,17 @@ def test_run_experiment_report_shape(tmp_path):
 def test_run_experiment_rejects_unknown_id():
     with pytest.raises(ValueError):
         run_experiment("mertens", {}, [100])
+
+
+@pytest.mark.parametrize("exp_id, params, match", [
+    ("mobius_exponential", {"theta_over_2pl": 0.618}, "'theta_over_2pl'"),
+    ("mobius_exponential", {"theta": 1.0, "theta_over_2pi": 0.5}, "not both"),
+    ("squarefree_shifts", {"shifts": [1], "theta": 1.0, "theta_over_2pi": 0.5}, "not both"),
+    ("two_point", {"h": 1, "theta": 0.5}, "'theta'"),
+])
+def test_run_experiment_rejects_unknown_params(exp_id, params, match):
+    with pytest.raises(ValueError, match=match):
+        run_experiment(exp_id, params, [100])
 
 
 def test_run_experiment_is_deterministic():

@@ -1,5 +1,6 @@
 """Sieve correctness against the trial-factorization oracle and known sums."""
 
+import importlib
 from math import isqrt
 
 import numpy as np
@@ -12,6 +13,7 @@ from mflab.sieve import (
     LABELS,
     MAX_INDEX,
     SEGMENT,
+    SIEVE_LIMIT,
     PrimeBasis,
     factor_oracle,
     oracle_values,
@@ -94,6 +96,26 @@ def test_sieve_validation():
         sieve("mobius", 1, 10, out={"mertens": np.empty(9, dtype=np.int8)})
     with pytest.raises(ValueError):
         sieve("mobius", 1, 10, out={"mobius": np.empty(8, dtype=np.int8)})
+
+
+def test_sieve_limit_is_checked_before_allocating(monkeypatch):
+    # the package re-exports the function sieve, which shadows the module name
+    sv = importlib.import_module("mflab.sieve")
+    bounds = []
+
+    def refuse(bound):
+        bounds.append(bound)
+        raise MemoryError("base-prime table requested")
+
+    monkeypatch.setattr(sv, "primes_upto", refuse)
+    for lo, hi in [(2**62, 2**62 + 8), (SIEVE_LIMIT - 8, SIEVE_LIMIT + 1)]:
+        with pytest.raises(RangeOverflowError, match="SIEVE_LIMIT"):
+            sieve("mobius", lo, hi)
+    assert bounds == []
+    # hi = SIEVE_LIMIT itself is accepted and asks for primes up to 1e8 - 1
+    with pytest.raises(MemoryError):
+        sieve("mobius", SIEVE_LIMIT - 8, SIEVE_LIMIT)
+    assert bounds == [isqrt(SIEVE_LIMIT - 1)] and isqrt(SIEVE_LIMIT - 1) < 10**8
 
 
 def test_segment_boundary_consistency():
