@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from mflab.config import load_config
-from mflab.experiments import run_experiment
+from mflab.experiments import load_caches, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -29,9 +29,11 @@ def main() -> int:
     args = ap.parse_args()
 
     config = load_config(args.config)
+    if config.cache_dir is not None:
+        load_caches(config.cache_dir)
     goldens = {}
     for spec in config.experiments:
-        report = run_experiment(spec.id, spec.params, spec.n_grid, cache_dir=config.cache_dir)
+        report = run_experiment(spec.id, spec.params, spec.n_grid)
         goldens[spec.name] = {
             "final_abs": report.indicators["final_abs"],
             "tol": 0.0 if spec.id in EXACT_IDS else 1e-9,

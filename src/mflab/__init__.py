@@ -16,6 +16,7 @@ from .experiments import (
     pattern_correlation,
     rotation_orthogonality,
     run_experiment,
+    load_caches,
     short_interval_average,
     sign_window,
     small_correlation_fraction,

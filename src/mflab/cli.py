@@ -5,8 +5,8 @@ experiment, cache-verify.  Exit codes follow the batch runner convention:
 0 success, 1 tolerance failure, 2 unusable configuration or arguments,
 3 corrupt sieve cache.
 
-The default cache directory comes from MFL_CACHE_DIR when set.  Angle
-arguments take radians via --theta, or turns via --theta-over-2pi.
+experiment first loads every cache file in MFL_CACHE_DIR, when set (see
+load_caches).  Angles take radians via --theta, or turns via --theta-over-2pi.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from . import cache as cache_io
 from .config import EXIT_CACHE, EXIT_CONFIG, load_config, run
 from .errors import CacheChecksumError, CacheFormatError, ConfigError
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, load_caches, run_experiment
 from .measures import affinity, hellinger, read_json, write_json
 from .sequences import BoundedSeq, correlation_table
 from .sieve import LABELS, sieve
@@ -163,8 +163,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         params["theta"] = args.theta
     if args.theta_over_2pi is not None:
         params["theta_over_2pi"] = args.theta_over_2pi
-    report = run_experiment(args.id, params, args.n_grid,
-                            cache_dir=os.environ.get("MFL_CACHE_DIR"))
+    cache_dir = os.environ.get("MFL_CACHE_DIR")
+    if cache_dir is not None:
+        load_caches(cache_dir)
+    report = run_experiment(args.id, params, args.n_grid)
     if args.out:
         report.write(args.out)
     blob = report.to_dict()

@@ -14,10 +14,11 @@ Config schema (all paths relative to the invoking directory):
     }
 
 Exit code semantics of run(): 0 all good, 1 a golden comparison failed,
-2 the config did not parse or validate, 3 a referenced sieve cache is
-corrupt.  Window lengths above 1e7 are refused unless allow_large is set.
-Keys other than the ones above, and params the experiment does not accept,
-are refused too, so a misspelled key cannot silently change a run.
+2 the config did not parse or validate, 3 a *.bin file in cache_dir is
+malformed or corrupt.  Window lengths above 1e7 are refused unless
+allow_large is set.  Keys other than the ones above, params the experiment
+does not accept and missing params it requires are refused too, so a
+misspelled key cannot silently change a run.
 
 A golden file maps experiment names to expected indicator values:
 
@@ -34,13 +35,13 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .cache import read_cache
+from .cache import read_cache  # unused; kept for perfbench/spans.py, which wraps it by name
 from .errors import CacheChecksumError, CacheFormatError, ConfigError
 from .experiments import (
     DEFAULT_GRID,
     LARGE_N_LIMIT,
-    adopt_window,
     check_params,
+    load_caches,
     run_experiment,
 )
 
@@ -77,8 +78,9 @@ def parse_config(obj: dict) -> RunConfig:
     """Validate a parsed JSON object into a RunConfig; raises ConfigError.
 
     The keys of the root and of each experiment entry are the fields of
-    RunConfig and ExperimentSpec; any other key, and any param the
-    experiment does not accept, is refused rather than ignored.
+    RunConfig and ExperimentSpec; any other key, any param the experiment
+    does not accept and any it requires but lacks, is refused rather than
+    ignored.
     """
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
@@ -134,17 +136,6 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(obj)
 
 
-def _preload_caches(cache_dir: str) -> None:
-    """Verify every cache file under cache_dir and seed the sign windows.
-
-    Any malformed or corrupt file raises, which run() maps to exit 3; a
-    batch never silently recomputes around a damaged cache.  Files that do
-    not start at n = 1 are verified but not used.
-    """
-    for path in sorted(Path(cache_dir).glob("*.bin")):
-        adopt_window(read_cache(path))
-
-
 def _compare_golden(report, golden: dict) -> list[str]:
     failures = []
     expected = golden.get("final_abs")
@@ -165,10 +156,11 @@ def _compare_golden(report, golden: dict) -> list[str]:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a batch: write one report per experiment, compare goldens."""
+    """Execute a batch: load every cache in cache_dir first (EXIT_CACHE if
+    one is bad), then write one report per experiment and compare goldens."""
     try:
         if config.cache_dir is not None:
-            _preload_caches(config.cache_dir)
+            load_caches(config.cache_dir)
     except (CacheFormatError, CacheChecksumError) as exc:
         print(f"cache error: {exc}")
         return EXIT_CACHE
@@ -185,7 +177,7 @@ def run(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
     for spec in config.experiments:
-        report = run_experiment(spec.id, spec.params, spec.n_grid, cache_dir=config.cache_dir)
+        report = run_experiment(spec.id, spec.params, spec.n_grid)
         report.write(out_dir / f"{spec.name}.json")
         for problem in _compare_golden(report, goldens.get(spec.name, {})):
             failures.append(f"{spec.name}: {problem}")

@@ -10,10 +10,10 @@ product with one table of exp(i theta j), j < ROW, sums each row of ROW
 terms, and each row sum is turned by its phase exp(i theta n0) (see
 _modulated_average).  The phase error per term is about |theta| * n * eps,
 no worse than one exp per term; the float64 row starts n0 are exact below
-2**53.  Each experiment lists the params it accepts in EXPERIMENTS, and
-run_experiment refuses any other.  Reports are written as JSON with sorted
-keys, so identical configurations produce byte-identical files apart from
-the wall-clock field.
+2**53.  EXPERIMENTS lists the params each experiment requires and accepts,
+and run_experiment refuses any other or a missing one.  Reports are JSON
+with sorted keys, so identical configurations produce byte-identical files
+apart from the wall-clock field.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ BLOCK = 1 << 16
 class WindowStore:
     """Owner of the memoised sign windows: per label, the values for n = 1..len.
 
-    Windows only grow, and only by sieving the missing tail.  A growth
-    rounds the new length up to a multiple of the sieve segment and fills,
-    in the same pass, every label whose window ends where the requested
-    one does, so a battery touching all three labels sieves each index
-    once.  Grown windows are written into newly allocated arrays, never
-    resized in place, because callers keep views of the old ones.
+    Windows only grow: adopt takes a longer one from load_caches, and get
+    sieves the missing tail.  A growth rounds the new length up to a
+    multiple of the sieve segment and fills, in the same pass, every label
+    whose window ends where the requested one does, so a battery touching
+    all three labels sieves each index once.  Grown windows are written
+    into new arrays, never resized in place, as callers keep views.
     """
 
     def __init__(self) -> None:
@@ -72,18 +72,12 @@ class WindowStore:
         if seq.start == 1 and len(seq) > self._length(seq.label):
             self._windows[seq.label] = seq.values
 
-    def get(self, label: str, hi: int, cache_dir: str | Path | None = None) -> np.ndarray:
+    def get(self, label: str, hi: int) -> np.ndarray:
         """Values of label for n = 1..hi; see sign_window."""
         if label not in LABELS:
             raise ValueError(f"unknown label {label!r}")
         if hi < 1:
             raise InvalidRangeError(f"need hi >= 1, got {hi}")
-        if self._length(label) < hi and cache_dir is not None:
-            path = Path(cache_dir) / f"{label}.bin"
-            if path.exists():
-                seq = read_cache(path)  # raises on corruption; caller maps to exit 3
-                if seq.label == label:
-                    self.adopt(seq)
         if self._length(label) < hi:
             self._extend(label, hi)
         return self._windows[label][:hi]
@@ -107,23 +101,28 @@ class WindowStore:
 WINDOWS = WindowStore()
 
 
-def sign_window(label: str, hi: int, cache_dir: str | Path | None = None) -> np.ndarray:
+def sign_window(label: str, hi: int) -> np.ndarray:
     """Values of a label for n = 1..hi as an int8 view (index n-1).
 
-    Served from the module's WindowStore.  A window too short for hi is
-    first replaced by <label>.bin from cache_dir when that file holds a
-    longer window (it is read and fully verified), then extended by
-    sieving only the indices past its end, up to hi rounded up to a
-    multiple of SEGMENT; labels whose windows end at the same index are
-    extended by the same pass.  The result is a view: later growth
+    Served from the module's WindowStore, which holds what load_caches put
+    there and what earlier calls sieved.  A window too short for hi is
+    extended by sieving only the indices past its end, up to hi rounded up
+    to a multiple of SEGMENT; labels whose windows end at the same index
+    are extended by the same pass.  The result is a view: later growth
     allocates new arrays and leaves views handed out earlier intact.
     """
-    return WINDOWS.get(label, hi, cache_dir)
+    return WINDOWS.get(label, hi)
 
 
-def adopt_window(seq: SignSeq) -> None:
-    """Seed the module's window store with a window starting at n = 1."""
-    WINDOWS.adopt(seq)
+def load_caches(directory: str | Path) -> None:
+    """Verify every *.bin file in directory, in sorted order, and adopt each
+    window that starts at n = 1 for the label in its header, whatever the
+    file name.  A malformed or corrupt file raises CacheFormatError or
+    CacheChecksumError: a run never silently recomputes around it.
+    """
+    for path in sorted(Path(directory).glob("*.bin")):
+        # names looked up per call, so tracing wrappers and test stores apply
+        WINDOWS.adopt(read_cache(path))
 
 
 def _modulated_average(mask: np.ndarray, theta: float, N: int) -> complex:
@@ -165,16 +164,14 @@ def _modulated_average(mask: np.ndarray, theta: float, N: int) -> complex:
 # The experiments
 
 
-def mobius_exponential_sum(theta: float, N: int,
-                           cache_dir: str | Path | None = None) -> complex:
+def mobius_exponential_sum(theta: float, N: int) -> complex:
     """(1/N) * sum_{n<=N} mobius(n) * exp(i n theta)."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
-    return _modulated_average(sign_window("mobius", N, cache_dir), theta, N)
+    return _modulated_average(sign_window("mobius", N), theta, N)
 
 
-def squarefree_modulated_sum(shifts, theta: float, N: int,
-                             cache_dir: str | Path | None = None) -> complex:
+def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
     """Mobius average twisted by exp(i n theta), restricted to the n whose
     shifted neighbours n + a are all square-free."""
     if N < 1:
@@ -183,8 +180,8 @@ def squarefree_modulated_sum(shifts, theta: float, N: int,
     if min(shifts, default=1) < 1:
         raise InvalidRangeError("shifts must be >= 1")
     reach = max(shifts, default=0)
-    mu = sign_window("mobius", N, cache_dir)
-    sq = sign_window("squarefree", N + reach, cache_dir)
+    mu = sign_window("mobius", N)
+    sq = sign_window("squarefree", N + reach)
     mask = mu[:N].copy()
     for a in shifts:
         mask *= sq[a : a + N]
@@ -211,8 +208,7 @@ class Pattern:
             raise InvalidRangeError("pattern must be non-empty")
 
 
-def pattern_correlation(pattern: Pattern, N: int, label: str = "mobius",
-                        cache_dir: str | Path | None = None) -> float:
+def pattern_correlation(pattern: Pattern, N: int, label: str = "mobius") -> float:
     """(1/N) * sum_{n<=N} of the product of label(n + a)^e over the pattern.
 
     At least one exponent must be 1; squaring every factor leaves no sign
@@ -223,7 +219,7 @@ def pattern_correlation(pattern: Pattern, N: int, label: str = "mobius",
     if 1 not in pattern.exponents:
         raise AllSquaredError("pattern needs at least one exponent equal to 1")
     reach = max(pattern.shifts)
-    w = sign_window(label, N + reach, cache_dir)
+    w = sign_window(label, N + reach)
     acc = np.ones(N, dtype=np.int8)
     for a, e in zip(pattern.shifts, pattern.exponents):
         part = w[a : a + N]
@@ -231,24 +227,22 @@ def pattern_correlation(pattern: Pattern, N: int, label: str = "mobius",
     return int(np.sum(acc, dtype=np.int64)) / N
 
 
-def two_point_correlation(h: int, X: int,
-                          cache_dir: str | Path | None = None) -> float:
+def two_point_correlation(h: int, X: int) -> float:
     """|(1/X) * sum_{j<=X} liouville(j) * liouville(j+h)|."""
     if h < 1 or X < 1:
         raise InvalidRangeError(f"need h >= 1 and X >= 1, got h={h}, X={X}")
-    lam = sign_window("liouville", X + h, cache_dir)
+    lam = sign_window("liouville", X + h)
     s = int(np.sum(lam[:X] * lam[h : h + X], dtype=np.int64))
     return abs(s) / X
 
 
-def small_correlation_fraction(H: int, X: int, delta: float,
-                               cache_dir: str | Path | None = None) -> float:
+def small_correlation_fraction(H: int, X: int, delta: float) -> float:
     """Fraction of lags h <= H whose two-point sum is below delta * X."""
     if H < 1 or X < 1:
         raise InvalidRangeError(f"need H >= 1 and X >= 1, got H={H}, X={X}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    lam = sign_window("liouville", X + H, cache_dir)
+    lam = sign_window("liouville", X + H)
     base = lam[:X]
     hits = 0
     for h in range(1, H + 1):
@@ -259,7 +253,6 @@ def small_correlation_fraction(H: int, X: int, delta: float,
 
 
 def windowed_sum_energy(k: int, h: int, N: int,
-                        cache_dir: str | Path | None = None,
                         with_spectral: bool = True) -> tuple[float, float | None]:
     """Mean square of h-term Mobius window sums, directly and spectrally.
 
@@ -277,7 +270,7 @@ def windowed_sum_energy(k: int, h: int, N: int,
     if k < 1 or h < 1 or N < 1:
         raise InvalidRangeError(f"need k, h, N >= 1, got k={k}, h={h}, N={N}")
     reach = h * k
-    mu = sign_window("mobius", N + reach, cache_dir)
+    mu = sign_window("mobius", N + reach)
     sums = np.zeros(N, dtype=np.int32)
     for l in range(1, h + 1):
         sums += mu[k * l : k * l + N]
@@ -293,12 +286,11 @@ def windowed_sum_energy(k: int, h: int, N: int,
     return direct, spectral
 
 
-def short_interval_average(H: int, X: int,
-                           cache_dir: str | Path | None = None) -> float:
+def short_interval_average(H: int, X: int) -> float:
     """(1/(H*X)) * sum_{x=X..2X-1} |sum_{x < k <= x+H} mobius(k)|."""
     if H < 1 or X < 1:
         raise InvalidRangeError(f"need H >= 1 and X >= 1, got H={H}, X={X}")
-    mu = sign_window("mobius", 2 * X + H, cache_dir)
+    mu = sign_window("mobius", 2 * X + H)
     csum = np.zeros(2 * X + H + 1, dtype=np.int64)
     csum[1:] = np.cumsum(mu, dtype=np.int64)
     x = np.arange(X, 2 * X, dtype=np.int64)
@@ -306,8 +298,7 @@ def short_interval_average(H: int, X: int,
     return int(np.sum(inner, dtype=np.int64)) / (H * X)
 
 
-def rotation_orthogonality(alpha: float, poly: TrigPoly, N: int,
-                           cache_dir: str | Path | None = None) -> complex:
+def rotation_orthogonality(alpha: float, poly: TrigPoly, N: int) -> complex:
     """(1/N) * sum_{n<=N} mobius(n) * P(n * alpha) for a trigonometric P.
 
     Evaluates term by term: the harmonic at frequency a contributes its
@@ -319,7 +310,7 @@ def rotation_orthogonality(alpha: float, poly: TrigPoly, N: int,
     total = 0.0 + 0.0j
     for a, c in zip(poly.freqs, poly.coeffs):
         theta = math.remainder(float(a) * alpha, 2.0 * math.pi)
-        total += complex(c) * mobius_exponential_sum(theta, N, cache_dir)
+        total += complex(c) * mobius_exponential_sum(theta, N)
     return total
 
 
@@ -369,6 +360,9 @@ def _resolve_theta(params: dict) -> float:
 
 def _poly_from_params(params: dict) -> TrigPoly:
     terms = params.get("poly", [])
+    for t in terms:
+        if not isinstance(t, dict) or "freq" not in t or not set(t) <= {"freq", "re", "im"}:
+            raise ValueError(f"poly term {t!r} must be an object with freq and optional re, im")
     freqs = [float(t["freq"]) for t in terms]
     coeffs = [complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))) for t in terms]
     order = np.argsort(freqs, kind="stable")
@@ -376,66 +370,72 @@ def _poly_from_params(params: dict) -> TrigPoly:
 
 
 class Experiment(NamedTuple):
-    """A registry entry: the param names the experiment accepts, and its
-    adapter (params, N, cache_dir) -> value."""
+    """A registry entry: the param names the experiment requires, the
+    ones it also accepts, and its adapter (params, N) -> value."""
 
-    params: frozenset[str]
-    run: Callable[[dict, int, str | Path | None], complex]
+    required: frozenset[str]
+    optional: frozenset[str]
+    run: Callable[[dict, int], complex]
 
+
+_THETAS = frozenset({"theta", "theta_over_2pi"})
 
 # Each adapter names its experiment at call time, so a substitute installed
 # on this module (a tracing wrapper) sees every call.
 EXPERIMENTS: dict[str, Experiment] = {
     "mobius_exponential": Experiment(
-        frozenset({"theta", "theta_over_2pi"}),
-        lambda p, N, c: mobius_exponential_sum(_resolve_theta(p), N, c)),
+        frozenset(), _THETAS,
+        lambda p, N: mobius_exponential_sum(_resolve_theta(p), N)),
     "squarefree_shifts": Experiment(
-        frozenset({"shifts", "theta", "theta_over_2pi"}),
-        lambda p, N, c: squarefree_modulated_sum(p["shifts"], _resolve_theta(p), N, c)),
+        frozenset({"shifts"}), _THETAS,
+        lambda p, N: squarefree_modulated_sum(p["shifts"], _resolve_theta(p), N)),
     "pattern": Experiment(
-        frozenset({"shifts", "exponents", "label"}),
-        lambda p, N, c: pattern_correlation(
-            Pattern(tuple(p["shifts"]), tuple(p["exponents"])), N, p.get("label", "mobius"), c)),
+        frozenset({"shifts", "exponents"}), frozenset({"label"}),
+        lambda p, N: pattern_correlation(
+            Pattern(tuple(p["shifts"]), tuple(p["exponents"])), N, p.get("label", "mobius"))),
     "two_point": Experiment(
-        frozenset({"h"}),
-        lambda p, N, c: two_point_correlation(int(p["h"]), N, c)),
+        frozenset({"h"}), frozenset(),
+        lambda p, N: two_point_correlation(int(p["h"]), N)),
     "small_fraction": Experiment(
-        frozenset({"H", "delta"}),
-        lambda p, N, c: small_correlation_fraction(int(p["H"]), N, float(p["delta"]), c)),
+        frozenset({"H", "delta"}), frozenset(),
+        lambda p, N: small_correlation_fraction(int(p["H"]), N, float(p["delta"]))),
     "window_energy": Experiment(
-        frozenset({"k", "h"}),
-        lambda p, N, c: windowed_sum_energy(
-            int(p["k"]), int(p["h"]), N, c, with_spectral=False)[0] / int(p["h"]) ** 2),
+        frozenset({"k", "h"}), frozenset(),
+        lambda p, N: windowed_sum_energy(
+            int(p["k"]), int(p["h"]), N, with_spectral=False)[0] / int(p["h"]) ** 2),
     "short_interval": Experiment(
-        frozenset({"H"}),
-        lambda p, N, c: short_interval_average(int(p["H"]), N, c)),
+        frozenset({"H"}), frozenset(),
+        lambda p, N: short_interval_average(int(p["H"]), N)),
     "rotation": Experiment(
-        frozenset({"alpha", "poly"}),
-        lambda p, N, c: rotation_orthogonality(float(p["alpha"]), _poly_from_params(p), N, c)),
+        frozenset({"alpha"}), frozenset({"poly"}),
+        lambda p, N: rotation_orthogonality(float(p["alpha"]), _poly_from_params(p), N)),
 }
 
 
 def check_params(exp_id: str, params: dict) -> None:
-    """Raise ValueError unless exp_id is registered and accepts every param
-    name given, with at most one of theta and theta_over_2pi."""
+    """Raise ValueError unless exp_id is registered, accepts every param name
+    given and gets every one it requires, with at most one theta form."""
     entry = EXPERIMENTS.get(exp_id)
     if entry is None:
         raise ValueError(f"unknown experiment id {exp_id!r}")
-    unknown = sorted(set(params) - entry.params)
+    accepted = entry.required | entry.optional
+    unknown = sorted(set(params) - accepted)
     if unknown:
         raise ValueError(f"experiment {exp_id!r} has no param {', '.join(map(repr, unknown))}; "
-                         f"it accepts {', '.join(sorted(entry.params))}")
+                         f"it accepts {', '.join(sorted(accepted))}")
+    missing = sorted(entry.required - set(params))
+    if missing:
+        raise ValueError(f"experiment {exp_id!r} needs param {', '.join(map(repr, missing))}")
     if "theta" in params and "theta_over_2pi" in params:
         raise ValueError("give one of theta and theta_over_2pi, not both")
 
 
-def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None,
-                   cache_dir: str | Path | None = None) -> ExperimentReport:
+def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None) -> ExperimentReport:
     """Run one experiment over an N grid and assemble its report.
 
-    Unknown ids and param names raise ValueError (see check_params).  The
-    report carries the params exactly as passed; the checksum covers the
-    id, the params and the sorted grid.
+    Unknown ids, unknown or missing params raise ValueError (see
+    check_params).  The report carries the params exactly as passed; the
+    checksum covers the id, the params and the sorted grid.
     """
     check_params(exp_id, params)
     adapter = EXPERIMENTS[exp_id].run
@@ -443,7 +443,7 @@ def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None,
     params = dict(params)
     checksum = input_checksum(exp_id, params, grid)
     t0 = time.perf_counter()
-    values = [complex(adapter(params, N, cache_dir)) for N in grid]
+    values = [complex(adapter(params, N)) for N in grid]
     elapsed = (time.perf_counter() - t0) * 1000.0
     mags = [abs(v) for v in values]
     indicators = {

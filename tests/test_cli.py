@@ -119,6 +119,9 @@ def test_experiment_rejects_unknown_param(capsys):
     assert "'theta_over_2pl'" in capsys.readouterr().out
     assert main(["experiment", "--id", "mobius_exponential", "--param", "theta=1.0",
                  "--theta-over-2pi", "0.5", "--n-grid", "1000"]) == 2
+    capsys.readouterr()
+    assert main(["experiment", "--id", "two_point", "--n-grid", "100"]) == 2
+    assert "needs param 'h'" in capsys.readouterr().out
 
 
 def test_experiment_needs_exactly_one_mode(tmp_path, capsys):
@@ -183,6 +186,32 @@ def test_env_cache_dir_with_corrupt_cache(tmp_path, capsys, monkeypatch):
     path = tmp_path / "battery.json"
     path.write_text(json.dumps(cfg))
     assert main(["experiment", "--config", str(path)]) == 3
+
+
+def test_env_cache_dir_single_experiment(tmp_path, capsys, monkeypatch,
+                                         fresh_windows, sieve_calls):
+    cache_dir = tmp_path / "caches"
+    cache_dir.mkdir()
+    lam = sieve("liouville", 1, 3001).values
+    # any file name serves: the label comes from the header
+    write_cache(cache_dir / "lam_3000.bin", sieve("liouville", 1, 3001))
+    monkeypatch.setenv("MFL_CACHE_DIR", str(cache_dir))
+    args = ["experiment", "--id", "two_point", "--param", "h=1", "--n-grid", "1000,2999"]
+    assert main(args) == 0
+    grid = json.loads(capsys.readouterr().out)["grid"]
+    for row in grid:
+        X = row["N"]
+        assert row["value_re"] == abs(int(np.sum(lam[:X] * lam[1 : X + 1], dtype=np.int64))) / X
+    assert sieve_calls == []
+
+    # a corrupt cache stops the run even for a label two_point never reads
+    mu_path = cache_dir / "mobius.bin"
+    write_cache(mu_path, sieve("mobius", 1, 2048))
+    blob = bytearray(mu_path.read_bytes())
+    blob[-10] ^= 0xFF
+    mu_path.write_bytes(bytes(blob))
+    assert main(args) == 3
+    assert "cache error" in capsys.readouterr().out
 
 
 def test_bad_arguments_exit_two(capsys):

@@ -45,7 +45,7 @@ def test_parse_config_rejections():
             {"id": "two_point", "name": "a", "params": {"h": 2}},
         ]})
     with pytest.raises(ConfigError):
-        parse_config({"experiments": [{"id": "two_point", "n_grid": [0]}]})
+        parse_config({"experiments": [{"id": "two_point", "params": {"h": 1}, "n_grid": [0]}]})
     # keys and params nothing reads are refused, naming the key
     tp = {"id": "two_point", "params": {"h": 1}}
     with pytest.raises(ConfigError, match="'alow_large'"):
@@ -62,6 +62,11 @@ def test_parse_config_rejections():
     with pytest.raises(ConfigError, match="not both"):
         parse_config({"experiments": [
             {"id": "mobius_exponential", "params": {"theta": 1.0, "theta_over_2pi": 0.5}}]})
+    # a required param that is missing, with or without a params object
+    with pytest.raises(ConfigError, match="needs param 'h'"):
+        parse_config({"experiments": [{"id": "two_point"}]})
+    with pytest.raises(ConfigError, match="needs param 'alpha'"):
+        parse_config({"experiments": [{"id": "rotation", "params": {"poly": []}}]})
 
 
 def test_parse_config_large_n_gate():

@@ -13,6 +13,7 @@ from mflab.experiments import (
     THETA_STAR,
     Pattern,
     input_checksum,
+    load_caches,
     mobius_exponential_sum,
     pattern_correlation,
     rotation_orthogonality,
@@ -194,14 +195,16 @@ def test_sign_window_reads_cache(tmp_path, fresh_windows, sieve_calls):
     hi = 5000
     seq = sieve("mobius", 1, hi + 1)
     write_cache(tmp_path / "mobius.bin", seq)
-    got = sign_window("mobius", hi, cache_dir=tmp_path)
+    load_caches(tmp_path)
+    got = sign_window("mobius", hi)
     assert np.array_equal(got, seq.values[:hi])
     assert sieve_calls == []
 
 
 def test_short_cache_is_extended_from_its_tail(tmp_path, fresh_windows, sieve_calls):
     write_cache(tmp_path / "mobius.bin", sieve("mobius", 1, 3001))
-    got = sign_window("mobius", 4000, cache_dir=tmp_path)
+    load_caches(tmp_path)
+    got = sign_window("mobius", 4000)
     assert sieve_calls == [("mobius", 3001, SEGMENT + 1)]
     assert np.array_equal(got, sieve("mobius", 1, 4001).values)
 
@@ -233,10 +236,30 @@ def test_run_experiment_rejects_unknown_id():
     ("mobius_exponential", {"theta": 1.0, "theta_over_2pi": 0.5}, "not both"),
     ("squarefree_shifts", {"shifts": [1], "theta": 1.0, "theta_over_2pi": 0.5}, "not both"),
     ("two_point", {"h": 1, "theta": 0.5}, "'theta'"),
+    # every name an adapter indexes is required
+    ("squarefree_shifts", {"theta": 1.0}, "needs param 'shifts'"),
+    ("pattern", {"shifts": [0, 1]}, "needs param 'exponents'"),
+    ("two_point", {}, "needs param 'h'"),
+    ("small_fraction", {}, "needs param 'H', 'delta'"),
+    ("window_energy", {"k": 3}, "needs param 'h'"),
+    ("short_interval", {}, "needs param 'H'"),
+    ("rotation", {"poly": []}, "needs param 'alpha'"),
 ])
 def test_run_experiment_rejects_unknown_params(exp_id, params, match):
     with pytest.raises(ValueError, match=match):
         run_experiment(exp_id, params, [100])
+
+
+@pytest.mark.parametrize("poly", [
+    [{"freq": 1.0, "rel": 2.0}],
+    [{"re": 1.0}],
+    [1.0],
+    [{"freq": 1.0, "re": 1.0}, ["freq", 2.0]],
+    {"freq": 1.0},
+])
+def test_rotation_rejects_malformed_poly_terms(poly):
+    with pytest.raises(ValueError, match="poly"):
+        run_experiment("rotation", {"alpha": 1.0, "poly": poly}, [1000])
 
 
 def test_run_experiment_is_deterministic():
