@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Record the mflab benchmark into checked-in BENCH_<tag>.json files.
+
+Runs perfbench/run.py, unchanged, inside each checkout given as
+--checkout TAG=PATH, on battery_cold and lab_cached, once untraced (the
+end-to-end metrics) and once traced (the per-layer metrics).  One round
+runs every checkout on every workload and trace setting with the same
+seed; the order of the checkouts is reversed on every other round, so
+two checkouts alternate as pairs and drift of the host falls on both.
+There is one round per seed in SEEDS, and every run lasts the benchmark's
+own run_seconds from BENCHMARK.json.  One run.py invocation gives one
+sample per metric: its median over passes.
+
+For each checkout it writes BENCH_<TAG>.json into --out-dir.  Each metric
+gets its median, interquartile range and sample count.  The file also
+holds the seeds, the commit of the checkout (and whether its tracked files
+differ from that commit), a sha256 of its src/ tree, the machine, Python,
+numpy and the number of cores the runs could use, as perfbench reports
+them, and the failed-check count of every run.
+
+    python3 scripts/bench_record.py --checkout parent=/path/to/parent \\
+        --checkout change=. --out-dir .
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("battery_cold", "lab_cached")
+SEEDS = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+                         .read_text())["run_seconds"]
+
+
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
+    """One perfbench/run.py invocation: (provenance record, result line)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def code_state(checkout: Path) -> dict:
+    """The checkout's commit, whether tracked files differ from it, and a
+    sha256 of src/ that names the measured code even when they do."""
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        digest.update(path.relative_to(checkout).as_posix().encode() + b"\0" + path.read_bytes())
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(checkout), *args], stdout=subprocess.PIPE,
+                              text=True, check=True).stdout.strip()
+    try:
+        commit = git("rev-parse", "HEAD")
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    except (OSError, subprocess.CalledProcessError):
+        commit = dirty = None
+    return {"commit": commit, "dirty": dirty, "src_sha256": digest.hexdigest()}
+
+
+def summarise(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--checkout", action="append", required=True, metavar="TAG=PATH",
+                    help="a checkout of mflab to measure; repeat to alternate several")
+    ap.add_argument("--out-dir", default=".", help="where BENCH_<TAG>.json files go")
+    args = ap.parse_args()
+    checkouts = {}
+    for item in args.checkout:
+        tag, sep, path = item.partition("=")
+        if not sep or not tag or not (Path(path) / "perfbench" / "run.py").is_file():
+            ap.error(f"--checkout needs TAG=PATH of an mflab checkout, got {item!r}")
+        checkouts[tag] = Path(path).resolve()
+
+    records = {tag: {"tag": tag, **code_state(path),
+                     "seeds": list(SEEDS), "seconds": RUN_SECONDS,
+                     "runs": [], "metrics": {}}
+               for tag, path in checkouts.items()}
+    order = list(checkouts)
+    for r, seed in enumerate(SEEDS):
+        for tag in (order if r % 2 == 0 else order[::-1]):
+            for workload in WORKLOADS:
+                for trace in (0, 1):
+                    prov, result = run_bench(checkouts[tag], workload, seed, trace)
+                    rec = records[tag]
+                    for key in ("machine", "platform", "nproc", "python", "numpy",
+                                "blas_threads"):
+                        rec.setdefault(key, prov[key])
+                    rec["runs"].append({"workload": workload, "trace": trace, "seed": seed,
+                                        "passes": prov["passes"], "attempted": result["attempted"],
+                                        "failed": result["failed"]})
+                    for name, metric in result["metrics"].items():
+                        entry = rec["metrics"].setdefault(
+                            f"{workload}.{name}", {"unit": metric["unit"], "samples": []})
+                        entry["samples"].append(metric["value"])
+                    print(f"round {r} {tag} {workload} trace={trace} seed={seed}: "
+                          f"run_s {result['metrics'].get('run_s', {}).get('value')}, "
+                          f"failed {result['failed']}", flush=True)
+
+    out_dir = Path(args.out_dir)
+    for tag, rec in records.items():
+        for entry in rec["metrics"].values():
+            entry.update(summarise(entry["samples"]))
+        path = out_dir / f"BENCH_{tag}.json"
+        path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from mflab.config import load_config
+from mflab.config import EXIT_CACHE, load_config
+from mflab.errors import CacheChecksumError, CacheFormatError
 from mflab.experiments import load_caches, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
@@ -30,7 +31,11 @@ def main() -> int:
 
     config = load_config(args.config)
     if config.cache_dir is not None:
-        load_caches(config.cache_dir)
+        try:
+            load_caches(config.cache_dir)
+        except (CacheFormatError, CacheChecksumError) as exc:
+            print(f"cache error: {exc}")
+            return EXIT_CACHE
     goldens = {}
     for spec in config.experiments:
         report = run_experiment(spec.id, spec.params, spec.n_grid)

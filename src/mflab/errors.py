@@ -63,7 +63,8 @@ class AllSquaredError(ValueError):
 
 
 class CacheFormatError(ValueError):
-    """Sieve cache file with a malformed header or payload."""
+    """Sieve cache file with a malformed header or payload, or a cache
+    directory that does not exist."""
 
 
 class CacheChecksumError(ValueError):

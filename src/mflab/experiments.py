@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cache import read_cache
-from .errors import AllSquaredError, InvalidRangeError, NotDisjointError
+from .errors import AllSquaredError, CacheFormatError, InvalidRangeError, NotDisjointError
 from .sequences import BoundedSeq, TrigPoly
 from .sieve import LABELS, SEGMENT, SignSeq, sieve
 from .summation import CHUNK, KahanAccumulator
@@ -118,8 +118,11 @@ def load_caches(directory: str | Path) -> None:
     """Verify every *.bin file in directory, in sorted order, and adopt each
     window that starts at n = 1 for the label in its header, whatever the
     file name.  A malformed or corrupt file raises CacheFormatError or
-    CacheChecksumError: a run never silently recomputes around it.
+    CacheChecksumError: a run never silently recomputes around it, and
+    neither does a path that is not an existing directory (CacheFormatError).
     """
+    if not Path(directory).is_dir():
+        raise CacheFormatError(f"cache directory {str(directory)!r} is not an existing directory")
     for path in sorted(Path(directory).glob("*.bin")):
         # names looked up per call, so tracing wrappers and test stores apply
         WINDOWS.adopt(read_cache(path))
@@ -290,11 +293,13 @@ def short_interval_average(H: int, X: int) -> float:
     """(1/(H*X)) * sum_{x=X..2X-1} |sum_{x < k <= x+H} mobius(k)|."""
     if H < 1 or X < 1:
         raise InvalidRangeError(f"need H >= 1 and X >= 1, got H={H}, X={X}")
-    mu = sign_window("mobius", 2 * X + H)
-    csum = np.zeros(2 * X + H + 1, dtype=np.int64)
-    csum[1:] = np.cumsum(mu, dtype=np.int64)
-    x = np.arange(X, 2 * X, dtype=np.int64)
-    inner = np.abs(csum[x + H] - csum[x])
+    # csum[i] = sum of mobius(k) for X < k <= X + i; each inner sum is a
+    # difference of two, so the partial sums up to X are never needed
+    mu = sign_window("mobius", 2 * X + H)[X:]
+    csum = np.zeros(X + H + 1, dtype=np.int64)
+    np.cumsum(mu, dtype=np.int64, out=csum[1:])
+    inner = csum[H : X + H] - csum[:X]
+    np.abs(inner, out=inner)
     return int(np.sum(inner, dtype=np.int64)) / (H * X)
 
 

@@ -154,8 +154,24 @@ def fourier_coeff(eta: TorusMeasure, k: int) -> complex:
     return coeff
 
 
+def _fourier_coeffs(eta: TorusMeasure, K: int) -> np.ndarray:
+    """fourier_coeff(eta, k) for k = 0..K, K <= bins // 2, from one FFT.
+
+    The FFT sums the bin masses against exp(-2 pi i j k / bins); the
+    midpoint of bin j sits half a bin further on, which turns coefficient k
+    by exp(-i pi k / bins).  Atoms are added exactly, one per atom.
+    """
+    k = np.arange(K + 1)
+    coeffs = np.fft.fft(eta.bin_masses())[: K + 1] * np.exp(-1j * np.pi * k / eta.bins)
+    for pos, mass in eta.atoms:
+        phase = k * pos
+        coeffs += mass * (np.cos(phase) - 1j * np.sin(phase))
+    return coeffs
+
+
 def wiener_continuity_stat(eta: TorusMeasure, K: int) -> float:
-    """Average of |fourier_coeff(k)|^2 over k = 0..K.
+    """Average of |fourier_coeff(k)|^2 over k = 0..K, all K + 1 coefficients
+    taken from one FFT of the bin masses (see _fourier_coeffs).
 
     Converges to the summed squared atom masses as K grows, so a vanishing
     value is evidence of a continuous measure.
@@ -164,8 +180,7 @@ def wiener_continuity_stat(eta: TorusMeasure, K: int) -> float:
         raise ValueError(f"K must be >= 0, got {K}")
     if K > eta.bins // 2:
         raise GridTooCoarseError(f"K={K} beyond grid resolution {eta.bins // 2}")
-    sq = [abs(fourier_coeff(eta, k)) ** 2 for k in range(K + 1)]
-    return float(sum(sq) / (K + 1))
+    return float(np.mean(np.abs(_fourier_coeffs(eta, K)) ** 2))
 
 
 @dataclass
@@ -184,14 +199,16 @@ def rajchman_profile(eta: TorusMeasure, K: int) -> RajchmanProfile:
 
     tail_max is the largest |sigma_hat(k)| with k in [K/2, K]; the flag
     fires when that max exceeds 1 - 1e-3, the signature of coefficients
-    returning to full height the way pure Dirichlet spectra do.
+    returning to full height the way pure Dirichlet spectra do.  The
+    K + 1 coefficients come from one FFT of the bin masses (see
+    _fourier_coeffs), not one O(bins) sum each.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K > eta.bins // 2:
         raise GridTooCoarseError(f"K={K} beyond grid resolution {eta.bins // 2}")
     p = eta.normalized()
-    vals = np.array([abs(fourier_coeff(p, k)) for k in range(K + 1)])
+    vals = np.abs(_fourier_coeffs(p, K))
     tail_max = float(np.max(vals[K // 2 :]))
     running = np.maximum.accumulate(vals[::-1])[::-1]
     return RajchmanProfile(vals, tail_max, running, bool(tail_max > 1.0 - 1e-3))
@@ -203,7 +220,10 @@ def smoothed(eta: TorusMeasure, scale: float) -> TorusMeasure:
     Atoms and density are both spread with the same triangular kernel of
     half-width `scale` (radians), discretised on the measure's own grid and
     normalised to unit mass, so total mass is preserved exactly up to
-    rounding.  Structures further apart than 2 * scale stay disjoint.
+    rounding.  Structures further apart than 2 * scale stay disjoint.  The
+    masses, padded circularly by the kernel's half-width, go through one
+    direct np.convolve; a direct sum of non-negative terms keeps the
+    density non-negative, which an FFT convolution would not.
     """
     if not 0.0 < scale < math.pi:
         raise ValueError(f"scale must lie in (0, pi), got {scale}")
@@ -217,9 +237,7 @@ def smoothed(eta: TorusMeasure, scale: float) -> TorusMeasure:
     masses = eta.bin_masses().copy()
     for pos, mass in eta.atoms:
         masses[int(pos / width) % bins] += mass
-    out = np.zeros(bins)
-    for off, w in zip(offsets, kernel):
-        out += w * np.roll(masses, off)
+    out = np.convolve(np.pad(masses, half, mode="wrap"), kernel, mode="valid")
     return TorusMeasure(bins, out / width, [])
 
 

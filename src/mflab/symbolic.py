@@ -127,11 +127,14 @@ def is_admissible(shifts) -> bool:
     each prime p dividing q.  The empty set is admissible.  Translation
     invariant.
     """
-    shifts = set(int(a) for a in shifts)
-    if any(a < 0 for a in shifts):
+    shifts = set(map(int, shifts))
+    if shifts and min(shifts) < 0:
         raise InvalidRangeError("shifts must be non-negative")
-    return all(len({a % (q * q) for a in shifts}) < q * q
-               for q in range(2, isqrt(len(shifts)) + 1))
+    for q in range(2, isqrt(len(shifts)) + 1):
+        square = q * q
+        if len({a % square for a in shifts}) == square:
+            return False
+    return True
 
 
 @dataclass
@@ -251,20 +254,23 @@ def _window_values(x) -> tuple[np.ndarray, bool]:
 
 
 def _encode_windows(values: np.ndarray, L: int, N: int, binary: bool) -> np.ndarray:
-    """Integer codes of the N windows values[i : i + L]."""
+    """Integer codes of the N windows values[i : i + L], first symbol most
+    significant.  Only values[: N + L - 1] is converted; the codes are folded
+    in place, one symbol position at a time."""
     if binary:
         if L > _BINARY_LEN_CAP:
             raise WindowTooLongError(f"binary block length capped at {_BINARY_LEN_CAP}")
         base = np.uint64(2)
-        digits = values.astype(np.uint64)
+        digits = values[: N + L - 1].astype(np.uint64)
     else:
         if L > _TERNARY_LEN_CAP:
             raise WindowTooLongError(f"ternary block length capped at {_TERNARY_LEN_CAP}")
         base = np.uint64(3)
-        digits = (values + 1).astype(np.uint64)
-    codes = np.zeros(N, dtype=np.uint64)
-    for j in range(L):
-        codes = codes * base + digits[j : j + N]
+        digits = (values[: N + L - 1] + 1).astype(np.uint64)
+    codes = digits[:N].copy()
+    for j in range(1, L):
+        codes *= base
+        codes += digits[j : j + N]
     return codes
 
 
@@ -334,18 +340,23 @@ def block_entropy_estimate(x, L_grid, N: int) -> EntropyEstimate:
     """Topological entropy proxy from distinct window counts.
 
     envelope is the running minimum of the exponents, which is the honest
-    monotone reading since block counts are submultiplicative.
+    monotone reading since block counts are submultiplicative.  Distinct
+    windows are counted by sorting their integer codes in place and counting
+    the steps between neighbours; np.unique would take its slower hash path.
     """
     grid = sorted(int(L) for L in L_grid)
     if not grid or grid[0] < 1:
         raise InvalidRangeError("L grid must be non-empty with L >= 1")
+    if N < 1:
+        raise InvalidRangeError(f"need N >= 1, got N={N}")
     values, binary = _window_values(x)
     if N + grid[-1] - 1 > len(values):
         raise WindowTooLongError("data too short for the largest block length")
     exps = []
     for L in grid:
         codes = _encode_windows(values, L, N, binary)
-        distinct = len(np.unique(codes))
+        codes.sort()
+        distinct = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
         exps.append(math.log2(distinct) / L)
     envelope = list(np.minimum.accumulate(exps))
     return EntropyEstimate(grid, exps, envelope)

@@ -214,6 +214,21 @@ def test_env_cache_dir_single_experiment(tmp_path, capsys, monkeypatch,
     assert "cache error" in capsys.readouterr().out
 
 
+def test_env_cache_dir_missing_exits_three(tmp_path, capsys, monkeypatch,
+                                          fresh_windows, sieve_calls):
+    monkeypatch.setenv("MFL_CACHE_DIR", str(tmp_path / "no_such_dir"))
+    args = ["experiment", "--id", "two_point", "--param", "h=1", "--n-grid", "100"]
+    assert main(args) == 3
+    assert "cache error" in capsys.readouterr().out
+    assert sieve_calls == []
+    # a file is not a cache directory either
+    not_a_dir = tmp_path / "mobius.bin"
+    write_cache(not_a_dir, sieve("mobius", 1, 2048))
+    monkeypatch.setenv("MFL_CACHE_DIR", str(not_a_dir))
+    assert main(args) == 3
+    assert sieve_calls == []
+
+
 def test_bad_arguments_exit_two(capsys):
     assert main(["sieve", "--label", "mertens", "--lo", "1", "--hi", "10",
                  "--out", "x.bin"]) == 2

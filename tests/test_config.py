@@ -1,6 +1,9 @@
 """Config parsing, golden comparison, and batch-run exit codes."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +156,38 @@ def test_run_detects_corrupt_cache(tmp_path):
         cache_dir=str(cache_dir),
     )
     assert run(cfg) == EXIT_CACHE
+
+
+def test_run_refuses_missing_cache_dir(tmp_path, fresh_windows, sieve_calls, capsys):
+    cfg = RunConfig(
+        experiments=[ExperimentSpec("two_point", "tp", {"h": 1}, [1000])],
+        output_dir=str(tmp_path / "out"),
+        cache_dir=str(tmp_path / "no_such_dir"),
+    )
+    assert run(cfg) == EXIT_CACHE
+    assert "cache error" in capsys.readouterr().out
+    # refused before anything is sieved or written
+    assert sieve_calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_freeze_goldens_refuses_missing_cache_dir(tmp_path, monkeypatch, capsys, sieve_calls):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "freeze_goldens.py"
+    spec = importlib.util.spec_from_file_location("freeze_goldens", script)
+    freeze = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(freeze)
+    config = tmp_path / "battery.json"
+    config.write_text(json.dumps({
+        "experiments": [{"id": "two_point", "name": "tp", "params": {"h": 1}, "n_grid": [100]}],
+        "cache_dir": str(tmp_path / "no_such_dir"),
+    }))
+    out = tmp_path / "goldens.json"
+    monkeypatch.setattr(sys, "argv", ["freeze_goldens.py", "--config", str(config),
+                                      "--out", str(out)])
+    assert freeze.main() == EXIT_CACHE
+    assert "cache error" in capsys.readouterr().out
+    assert sieve_calls == []
+    assert not out.exists()
 
 
 def test_run_seeds_windows_from_cache(tmp_path, fresh_windows, sieve_calls, monkeypatch):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflab.errors import GridMismatchError, ResolutionError, ZeroMassError
+from mflab.errors import GridMismatchError, GridTooCoarseError, ResolutionError, ZeroMassError
 from mflab.measures import (
     TorusMeasure,
+    _fourier_coeffs,
     affinity,
     fourier_coeff,
     hellinger,
@@ -173,6 +174,62 @@ def test_smoothed_scale_validation():
     u = TorusMeasure.uniform(64)
     with pytest.raises(ValueError):
         smoothed(u, 0.0)
+
+
+def _mixed_measure(seed: int, bins: int, scale: float) -> TorusMeasure:
+    """Unnormalised: a density with some empty bins plus three atoms."""
+    rng = np.random.default_rng(seed)
+    density = scale * rng.random(bins)
+    density[rng.random(bins) < 0.25] = 0.0
+    atoms = [(float(p), float(scale * m + 0.01))
+             for p, m in zip(rng.random(3) * TAU, rng.random(3))]
+    return TorusMeasure(bins, density, atoms)
+
+
+@pytest.mark.parametrize("bins", [2, 3, 16, 17, 128, 255])
+def test_fourier_profiles_match_per_coefficient_oracle(bins):
+    eta = _mixed_measure(bins, bins, scale=3.0)
+    p = eta.normalized()
+    for K in sorted({0, 1, bins // 4, bins // 2}):
+        per_k = [fourier_coeff(eta, k) for k in range(K + 1)]
+        assert np.max(np.abs(_fourier_coeffs(eta, K) - per_k)) <= 1e-14 * eta.total_mass
+        wiener = sum(abs(c) ** 2 for c in per_k) / (K + 1)
+        assert abs(wiener_continuity_stat(eta, K) - wiener) <= 1e-14 * eta.total_mass ** 2
+        if K >= 1:
+            want = np.array([abs(fourier_coeff(p, k)) for k in range(K + 1)])
+            assert np.max(np.abs(rajchman_profile(eta, K).values - want)) <= 1e-14
+    with pytest.raises(GridTooCoarseError):
+        rajchman_profile(eta, bins // 2 + 1)
+    with pytest.raises(GridTooCoarseError):
+        wiener_continuity_stat(eta, bins // 2 + 1)
+
+
+def _smoothed_by_rolls(eta: TorusMeasure, scale: float) -> np.ndarray:
+    """Density of smoothed(eta, scale), summed one kernel offset at a time."""
+    width = eta.bin_width
+    half = max(1, math.ceil(scale / width))
+    masses = eta.bin_masses().copy()
+    for pos, mass in eta.atoms:
+        masses[int(pos / width) % eta.bins] += mass
+    offsets = np.arange(-half, half + 1)
+    kernel = np.maximum(0.0, 1.0 - np.abs(offsets) * width / scale)
+    kernel /= kernel.sum()
+    out = np.zeros(eta.bins)
+    for off, w in zip(offsets, kernel):
+        out += w * np.roll(masses, off)
+    return out / width
+
+
+# (7, 3.0) and (8, 3.0) have a kernel half-width of 4 bins, at least bins / 2
+@pytest.mark.parametrize("bins, scale", [(7, 3.0), (8, 3.0), (64, 0.05), (64, 1.2),
+                                         (255, 0.004), (4096, 0.004)])
+def test_smoothed_matches_roll_oracle(bins, scale):
+    for eta in (_mixed_measure(bins, bins, scale=2.0),
+                TorusMeasure.from_atoms([(0.3, 1.0)], bins=bins)):
+        got = smoothed(eta, scale).density
+        want = _smoothed_by_rolls(eta, scale)
+        assert np.all(got >= 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
 
 def test_json_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from mflab.errors import (
     BlockExhaustedError,
+    InvalidRangeError,
     NonPrimeError,
     NotDisjointError,
     SignWordTooShortError,
@@ -19,9 +21,12 @@ from mflab.errors import (
     ZeroSetTooLargeError,
 )
 from mflab.symbolic import (
+    _BINARY_LEN_CAP,
+    _TERNARY_LEN_CAP,
     Block2,
     Block3,
     SkewPoint,
+    _encode_windows,
     apply_signs,
     block_entropy_estimate,
     empirical_block_measure,
@@ -185,10 +190,73 @@ def test_entropy_estimate_full_shift():
     assert est.envelope == sorted(est.envelope, reverse=True)
 
 
+@pytest.mark.parametrize("L_grid, N", [([], 10), ([0, 2], 10), ([2], 0), ([2], -3)])
+def test_entropy_rejects_bad_ranges(L_grid, N):
+    word = np.zeros(100, dtype=np.int8)
+    with pytest.raises(InvalidRangeError):
+        block_entropy_estimate(word, L_grid, N)
+
+
 def test_entropy_envelope_monotone_for_squarefree(sq_window):
     est = block_entropy_estimate(sq_window[: 10**5 + 16], [4, 8, 16], 10**5)
     assert est.envelope[0] >= est.envelope[1] >= est.envelope[2]
     assert est.exponents[0] == pytest.approx(0.9767226489021297, abs=1e-9)
+
+
+def _repetitive_word(alphabet: tuple[int, ...], size: int, seed: int) -> np.ndarray:
+    """A period-37 word with a few random flips: long windows repeat, but not all."""
+    rng = np.random.default_rng(seed)
+    word = np.resize(rng.choice(alphabet, 37), size).astype(np.int8)
+    flips = rng.choice(size, 12, replace=False)
+    word[flips] = rng.choice(alphabet, 12)
+    word[0] = alphabet[0]  # ternary words hold a -1, so they are read as ternary
+    return word
+
+
+@pytest.mark.parametrize("alphabet, L", [
+    ((0, 1), 1), ((0, 1), 7), ((0, 1), _BINARY_LEN_CAP),
+    ((-1, 0, 1), 1), ((-1, 0, 1), 7), ((-1, 0, 1), _TERNARY_LEN_CAP),
+])
+def test_entropy_distinct_counts_match_brute_force(alphabet, L):
+    N = 600
+    word = _repetitive_word(alphabet, N + L - 1, seed=L)
+    est = block_entropy_estimate(word, [L], N)
+    distinct = len({tuple(word[i : i + L]) for i in range(N)})
+    assert 1 < distinct < N
+    assert est.exponents == [math.log2(distinct) / L]
+
+
+@pytest.mark.parametrize("alphabet, L", [
+    ((0, 1), 1), ((0, 1), 5), ((0, 1), _BINARY_LEN_CAP),
+    ((-1, 0, 1), 1), ((-1, 0, 1), 5), ((-1, 0, 1), _TERNARY_LEN_CAP),
+])
+def test_encode_windows_matches_python_fold(alphabet, L):
+    binary = alphabet == (0, 1)
+    base = len(alphabet)
+    N = 200
+    # ends in L copies of the top symbol, so the last code is base**L - 1
+    word = np.concatenate([_repetitive_word(alphabet, N - 1, seed=L),
+                           np.full(L, alphabet[-1], dtype=np.int8)])
+    codes = _encode_windows(word, L, N, binary)
+    assert codes.dtype == np.uint64 and len(codes) == N
+    for i in range(N):
+        code = 0
+        for symbol in word[i : i + L]:
+            code = code * base + int(symbol) - alphabet[0]
+        assert int(codes[i]) == code
+    assert int(codes[-1]) == base**L - 1
+
+
+def test_entropy_memory_does_not_scale_with_window(mu_window):
+    assert len(mu_window) > 10**7
+    tracemalloc.start()
+    try:
+        block_entropy_estimate(mu_window, [2, 16], 500_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # converting the whole 1e7 window to uint64 alone would take 80 MB
+    assert peak < 20 * 2**20
 
 
 def test_square_map_and_apply_signs_roundtrip():
