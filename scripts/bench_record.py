@@ -9,7 +9,9 @@ seed; the order of the checkouts is reversed on every other round, so
 two checkouts alternate as pairs and drift of the host falls on both.
 There is one round per seed in SEEDS, and every run lasts the benchmark's
 own run_seconds from BENCHMARK.json.  One run.py invocation gives one
-sample per metric: its median over passes.
+sample per metric: its median over passes.  Each round also times, in a
+fresh process per checkout, one sieve pass over [1, 1e8] that fills all
+three labels: the layer sample layers.sieve_1e8_s.
 
 For each checkout it writes BENCH_<TAG>.json into --out-dir.  Each metric
 gets its median, interquartile range and sample count.  The file also
@@ -34,6 +36,7 @@ from pathlib import Path
 
 WORKLOADS = ("battery_cold", "lab_cached")
 SEEDS = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+SIEVE_TOP = 10**8
 RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
                          .read_text())["run_seconds"]
 
@@ -45,6 +48,24 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dic
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def time_sieve(checkout: Path) -> float:
+    """Seconds of one all-label sieve over [1, SIEVE_TOP], in a fresh process
+    that imports mflab from the checkout's src/."""
+    script = (
+        "import sys, time\n"
+        "import numpy as np\n"
+        "sys.path.insert(0, 'src')\n"
+        "from mflab.sieve import sieve\n"
+        f"hi = {SIEVE_TOP} + 1\n"
+        "out = {name: np.empty(hi - 1, dtype=np.int8) for name in ('liouville', 'squarefree')}\n"
+        "t = time.perf_counter()\n"
+        "sieve('mobius', 1, hi, out=out)\n"
+        "print(time.perf_counter() - t)\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=checkout, stdout=subprocess.PIPE,
+                          text=True, check=True)
+    return float(proc.stdout)
 
 
 def code_state(checkout: Path) -> dict:
@@ -85,7 +106,8 @@ def main() -> int:
 
     records = {tag: {"tag": tag, **code_state(path),
                      "seeds": list(SEEDS), "seconds": RUN_SECONDS,
-                     "runs": [], "metrics": {}}
+                     "runs": [], "metrics": {},
+                     "layers": {"sieve_1e8_s": {"unit": "s", "samples": []}}}
                for tag, path in checkouts.items()}
     order = list(checkouts)
     for r, seed in enumerate(SEEDS):
@@ -107,10 +129,13 @@ def main() -> int:
                     print(f"round {r} {tag} {workload} trace={trace} seed={seed}: "
                           f"run_s {result['metrics'].get('run_s', {}).get('value')}, "
                           f"failed {result['failed']}", flush=True)
+            seconds = time_sieve(checkouts[tag])
+            records[tag]["layers"]["sieve_1e8_s"]["samples"].append(seconds)
+            print(f"round {r} {tag} sieve [1, 1e8]: {seconds:.3f} s", flush=True)
 
     out_dir = Path(args.out_dir)
     for tag, rec in records.items():
-        for entry in rec["metrics"].values():
+        for entry in [*rec["metrics"].values(), *rec["layers"].values()]:
             entry.update(summarise(entry["samples"]))
         path = out_dir / f"BENCH_{tag}.json"
         path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")

@@ -115,17 +115,32 @@ def sign_window(label: str, hi: int) -> np.ndarray:
 
 
 def load_caches(directory: str | Path) -> None:
-    """Verify every *.bin file in directory, in sorted order, and adopt each
-    window that starts at n = 1 for the label in its header, whatever the
-    file name.  A malformed or corrupt file raises CacheFormatError or
-    CacheChecksumError: a run never silently recomputes around it, and
-    neither does a path that is not an existing directory (CacheFormatError).
+    """Verify every *.bin file in directory, in sorted order, then adopt each
+    window for the label in its header, whatever the file name.
+
+    Nothing is adopted unless every file passes, so a run never silently
+    recomputes around a cache it was pointed at.  A malformed or corrupt
+    file raises CacheFormatError or CacheChecksumError.  CacheFormatError
+    also names a file whose window does not start at n = 1 or whose label
+    is not one of LABELS, and is raised for a path that is not an existing
+    directory or holds no *.bin file.
     """
     if not Path(directory).is_dir():
         raise CacheFormatError(f"cache directory {str(directory)!r} is not an existing directory")
-    for path in sorted(Path(directory).glob("*.bin")):
+    paths = sorted(Path(directory).glob("*.bin"))
+    if not paths:
+        raise CacheFormatError(f"cache directory {str(directory)!r} holds no *.bin file")
+    seqs = []
+    for path in paths:
         # names looked up per call, so tracing wrappers and test stores apply
-        WINDOWS.adopt(read_cache(path))
+        seq = read_cache(path)
+        if seq.label not in LABELS or seq.start != 1:
+            raise CacheFormatError(
+                f"{path}: a cache window must start at n = 1 with a label in {LABELS}, "
+                f"got label {seq.label!r} starting at {seq.start}")
+        seqs.append(seq)
+    for seq in seqs:
+        WINDOWS.adopt(seq)
 
 
 def _modulated_average(mask: np.ndarray, theta: float, N: int) -> complex:

@@ -1,27 +1,43 @@
 """Segmented sieves for the Mobius, Liouville and square-free indicators.
 
 All three labels are produced from one segment pass, and sieve() hands out
-every label a caller asks for from that pass.  A segment keeps, for
-every index n in a window of 2**20 indices, the number of distinct small
-prime divisors, the total number of prime divisors with multiplicity, the
-product of the small-prime parts, and a square-free flag.  Any index whose
-accumulated product falls short of the index itself has exactly one prime
-divisor above the segment's root bound, which tops up both counters.
+every label a caller asks for from that pass.  A segment of up to 2**20
+indices keeps, for every index n, one packed uint8 counter, the product of
+the small prime powers dividing n, and a square-free flag.  Any index whose
+accumulated product falls short of n itself has exactly one prime divisor
+above the segment's root bound, which the counter then takes as one more
+first power.
 
-The Liouville sign comes from the parity of the full divisor count, the
-Mobius sign from the parity of the distinct count masked by the square-free
-flag.  The two parities are accumulated separately on purpose: the pointwise
-identity mobius = liouville * squarefree then cross-checks two independent
-counting routes instead of restating a definition.
+The counter gets 17 at each multiple of a prime p and 16 at each multiple
+of a higher power p**k.  Its low nibble is then omega(n), the number of
+distinct prime divisors, and its high nibble Omega(n) mod 16, the number
+counted with multiplicity.  The low nibble never carries into the high
+one: omega(n) <= 15 for every n <= MAX_INDEX, since the product of the
+first 16 primes, about 3.3e19, exceeds 2**63.  The Mobius sign comes from
+bit 0, masked by the square-free flag, and the Liouville sign from bit 4.
+The two nibbles are still summed independently, so the pointwise identity
+mobius = liouville * squarefree cross-checks two counting routes instead
+of restating a definition.
+
+The product is int32 when hi <= 2**31 and int64 above: it never exceeds n.
+The powers 2, 4, 8, 3, 9, 5, 7 and 11 are not sieved per segment: sieve()
+builds their counter, product and flag once as a pattern of period
+WHEEL = 8*9*5*7*11 = 27720, and each segment starts as a copy of it at
+offset lo mod WHEEL.  A wheel prime above a segment's root bound is marked
+too, which is harmless: its square exceeds every n there, so marking it
+gives what the leftover step would.  The segment buffers are allocated
+once per call and refilled by that copy.
 
 Indices are 1-based and 64-bit throughout (MAX_INDEX).  Ranges are half
 open: [lo, hi) covers lo, lo+1, ..., hi-1.  sieve() takes hi up to
 SIEVE_LIMIT = 10**16: its base primes up to isqrt(hi - 1) come from one
-boolean table, which at that limit holds 1e8 entries (100 MB).
+boolean table, which at that limit holds 1e8 entries (100 MB), and are
+then held as a list of Python ints (about 5.8e6 of them there).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -160,53 +176,82 @@ def oracle_values(n: int) -> tuple[int, int, int]:
     return mobius, liouville, squarefree
 
 
-def _segment_tables(lo: int, hi: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (mobius, liouville, squarefree) int8 arrays on [lo, hi)."""
-    size = hi - lo
-    total = np.zeros(size, dtype=np.int8)      # divisor count with multiplicity
-    distinct = np.zeros(size, dtype=np.int8)   # distinct prime divisor count
-    squarefree = np.ones(size, dtype=np.int8)
-    partial = np.ones(size, dtype=np.int64)    # product of small-prime parts
-    top = isqrt(hi - 1)
-    for p in primes:
-        p = int(p)
-        if p > top:
-            break
-        first = (-lo) % p
-        if first >= size:
-            continue  # no multiple of p in the segment, so none of its powers
-        total[first::p] += 1
-        distinct[first::p] += 1
-        partial[first::p] *= p
-        # a power q of p has a multiple in the segment exactly when start < size
-        q = p * p
-        start = (-lo) % q
-        if start < size:
-            squarefree[start::q] = 0
-        while start < size:
-            total[start::q] += 1
-            partial[start::q] *= p
+# Prime powers whose marks a segment copies from one periodic pattern instead
+# of striding them itself: p -> the largest power of p the pattern holds.
+# Its period WHEEL is the product of those powers.
+WHEEL_POWERS = {2: 8, 3: 9, 5: 5, 7: 7, 11: 11}
+WHEEL = 8 * 9 * 5 * 7 * 11
+
+
+def _wheel(dtype: type, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(count, partial, squarefree) of the WHEEL_POWERS alone for n = 0..length-1:
+    one period of WHEEL entries, repeated, so entry j serves every n = j mod WHEEL."""
+    count = np.zeros(WHEEL, dtype=np.uint8)
+    partial = np.ones(WHEEL, dtype=dtype)
+    squarefree = np.ones(WHEEL, dtype=np.int8)
+    for p, cap in WHEEL_POWERS.items():
+        q = p
+        while q <= cap:
+            count[::q] += 17 if q == p else 16
+            partial[::q] *= p
+            if q == p * p:
+                squarefree[::q] = 0
             q *= p
-            start = (-lo) % q
-    # A shortfall in the accumulated product means exactly one prime factor
-    # above top remains; it is simple, so it bumps both counters by one.
-    # Whole-array int8 arithmetic from here: a parity bit b becomes the sign
-    # 1 - 2b, and the Mobius sign is masked by multiplying with squarefree.
-    leftover = partial != np.arange(lo, hi, dtype=np.int64)
-    del partial
-    total += leftover
-    distinct += leftover
-    liouville = np.bitwise_and(total, 1, out=total)
-    liouville *= -2
-    liouville += 1
-    mobius = np.bitwise_and(distinct, 1, out=distinct)
-    mobius *= -2
-    mobius += 1
-    mobius *= squarefree
-    return mobius, liouville, squarefree
+    return np.resize(count, length), np.resize(partial, length), np.resize(squarefree, length)
 
 
-_LABEL_SLOT = {"mobius": 0, "liouville": 1, "squarefree": 2}
+def _segments(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield (s, e, count, squarefree) for each segment [s, e) of [lo, hi).
+
+    count is the packed counter and squarefree the int8 flag of the module
+    docstring.  Both are scratch that the next segment overwrites.
+    """
+    primes = primes_upto(isqrt(hi - 1)).values.tolist()
+    dtype = np.int32 if hi <= 2**31 else np.int64  # partial <= n < hi
+    width = min(SEGMENT, hi - lo)
+    wheel = _wheel(dtype, WHEEL + width)
+    count = np.empty(width, dtype=np.uint8)
+    partial = np.empty(width, dtype=dtype)  # product of the small prime powers dividing n
+    squarefree = np.empty(width, dtype=np.int8)
+    leftover = np.empty(width, dtype=bool)
+    ramp = np.arange(width, dtype=dtype)
+    for s in range(lo, hi, SEGMENT):
+        e = min(s + SEGMENT, hi)
+        size = e - s
+        cnt, part, sq, left = count[:size], partial[:size], squarefree[:size], leftover[:size]
+        for table, tile in zip((cnt, part, sq), wheel):
+            table[:] = tile[s % WHEEL : s % WHEEL + size]
+        top = isqrt(e - 1)
+        for p in primes:
+            if p > top:
+                break
+            q = WHEEL_POWERS.get(p, 1)  # the largest power of p already marked
+            if q == 1:
+                first = (-s) % p
+                if first >= size:
+                    continue  # no multiple of p in the segment, so none of its powers
+                cnt[first::p] += 17
+                part[first::p] *= p
+                q = p
+            # a power q of p has a multiple in the segment exactly when start < size
+            while True:
+                q *= p
+                start = (-s) % q
+                if start >= size:
+                    break
+                if q == p * p:
+                    sq[start::q] = 0
+                cnt[start::q] += 16
+                part[start::q] *= p
+        # A shortfall in the accumulated product means exactly one prime factor
+        # above top remains; it is simple, so it adds 17 like any first power.
+        # part - j == s tests part == s + j without building the index array.
+        part -= ramp[:size]
+        np.not_equal(part, s, out=left)
+        bump = left.view(np.uint8)
+        bump *= 17
+        cnt += bump
+        yield s, e, cnt, sq
 
 
 def sieve(label: str, lo: int, hi: int,
@@ -232,7 +277,7 @@ def sieve(label: str, lo: int, hi: int,
     Returns:
         SignSeq of ``label`` covering [lo, hi).
     """
-    if label not in _LABEL_SLOT:
+    if label not in LABELS:
         raise ValueError(f"unknown label {label!r}; expected one of {LABELS}")
     if hi > SIEVE_LIMIT:
         raise RangeOverflowError(
@@ -241,17 +286,28 @@ def sieve(label: str, lo: int, hi: int,
         raise InvalidRangeError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     targets = dict(out or {})
     for name, arr in targets.items():
-        if name not in _LABEL_SLOT:
+        if name not in LABELS:
             raise ValueError(f"unknown label {name!r} in out; expected one of {LABELS}")
         if arr.dtype != np.int8 or arr.shape != (hi - lo,):
             raise ValueError(f"out[{name!r}] must be an int8 array of length {hi - lo}")
     if label not in targets:
         targets[label] = np.empty(hi - lo, dtype=np.int8)
 
-    primes = primes_upto(isqrt(hi - 1)).values
-    for s in range(lo, hi, SEGMENT):
-        e = min(s + SEGMENT, hi)
-        tables = _segment_tables(s, e, primes)
+    for s, e, count, squarefree in _segments(lo, hi):
         for name, arr in targets.items():
-            arr[s - lo : e - lo] = tables[_LABEL_SLOT[name]]
+            dst = arr[s - lo : e - lo]
+            if name == "squarefree":
+                dst[:] = squarefree
+                continue
+            # a parity bit b becomes the sign 1 - 2b; mobius is masked by squarefree
+            bit = dst.view(np.uint8)
+            if name == "liouville":
+                np.right_shift(count, 4, out=bit)
+                np.bitwise_and(bit, 1, out=bit)
+            else:
+                np.bitwise_and(count, 1, out=bit)
+            dst *= -2
+            dst += 1
+            if name == "mobius":
+                dst *= squarefree
     return SignSeq(label, lo, targets[label])

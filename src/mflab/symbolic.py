@@ -249,7 +249,8 @@ def _window_values(x) -> tuple[np.ndarray, bool]:
         values = x.values
     else:
         values = np.asarray(x, dtype=np.int8)
-    binary = bool(np.all(values >= 0))
+    # min() reads the values without a full-size boolean temporary
+    binary = values.size == 0 or bool(values.min() >= 0)
     return values, binary
 
 

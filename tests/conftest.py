@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import mflab.experiments as ex
+from mflab.cache import write_cache
 from mflab.experiments import WindowStore, sign_window
-from mflab.sieve import sieve
+from mflab.sieve import SignSeq, sieve
 
 WINDOW_TOP = 10**7 + 256
 
@@ -60,3 +61,19 @@ def sieve_calls(monkeypatch):
 
     monkeypatch.setattr(ex, "sieve", recording)
     return calls
+
+
+@pytest.fixture(params=["starts_late", "custom_label", "empty"])
+def unusable_cache_dir(request, tmp_path):
+    """(directory, what the refusal must name): an existing cache directory
+    that load_caches refuses, beside a valid mobius cache."""
+    cache_dir = tmp_path / "caches"
+    cache_dir.mkdir()
+    if request.param == "empty":
+        return cache_dir, str(cache_dir)
+    write_cache(cache_dir / "mobius.bin", sieve("mobius", 1, 3001))
+    if request.param == "starts_late":
+        write_cache(cache_dir / "squarefree.bin", sieve("squarefree", 2, 3001))
+        return cache_dir, "squarefree.bin"
+    write_cache(cache_dir / "custom.bin", SignSeq("custom", 1, np.ones(3000, dtype=np.int8)))
+    return cache_dir, "custom.bin"

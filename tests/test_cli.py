@@ -229,6 +229,20 @@ def test_env_cache_dir_missing_exits_three(tmp_path, capsys, monkeypatch,
     assert sieve_calls == []
 
 
+def test_env_cache_dir_unusable_exits_three(tmp_path, capsys, monkeypatch, fresh_windows,
+                                           sieve_calls, unusable_cache_dir):
+    cache_dir, named = unusable_cache_dir
+    monkeypatch.setenv("MFL_CACHE_DIR", str(cache_dir))
+    out_path = tmp_path / "tp.json"
+    args = ["experiment", "--id", "two_point", "--param", "h=1", "--n-grid", "100",
+            "--out", str(out_path)]
+    assert main(args) == 3
+    out = capsys.readouterr().out
+    assert "cache error" in out and named in out
+    assert sieve_calls == []
+    assert not out_path.exists()
+
+
 def test_bad_arguments_exit_two(capsys):
     assert main(["sieve", "--label", "mertens", "--lo", "1", "--hi", "10",
                  "--out", "x.bin"]) == 2

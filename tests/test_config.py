@@ -171,7 +171,26 @@ def test_run_refuses_missing_cache_dir(tmp_path, fresh_windows, sieve_calls, cap
     assert not (tmp_path / "out").exists()
 
 
-def test_freeze_goldens_refuses_missing_cache_dir(tmp_path, monkeypatch, capsys, sieve_calls):
+def test_run_refuses_unusable_cache_dir(tmp_path, unusable_cache_dir, fresh_windows,
+                                        sieve_calls, capsys):
+    cache_dir, named = unusable_cache_dir
+    cfg = RunConfig(
+        experiments=[ExperimentSpec("two_point", "tp", {"h": 1}, [1000])],
+        output_dir=str(tmp_path / "out"),
+        cache_dir=str(cache_dir),
+    )
+    assert run(cfg) == EXIT_CACHE
+    out = capsys.readouterr().out
+    assert "cache error" in out and named in out
+    assert sieve_calls == []
+    assert not (tmp_path / "out").exists()
+    # the valid mobius.bin beside the refused file was not adopted either
+    sign_window("mobius", 100)
+    assert [call[0] for call in sieve_calls] == ["mobius"]
+
+
+def _freeze_with_cache_dir(tmp_path, monkeypatch, cache_dir):
+    """Run scripts/freeze_goldens.py on a one-entry battery; (exit code, its --out path)."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "freeze_goldens.py"
     spec = importlib.util.spec_from_file_location("freeze_goldens", script)
     freeze = importlib.util.module_from_spec(spec)
@@ -179,13 +198,29 @@ def test_freeze_goldens_refuses_missing_cache_dir(tmp_path, monkeypatch, capsys,
     config = tmp_path / "battery.json"
     config.write_text(json.dumps({
         "experiments": [{"id": "two_point", "name": "tp", "params": {"h": 1}, "n_grid": [100]}],
-        "cache_dir": str(tmp_path / "no_such_dir"),
+        "cache_dir": str(cache_dir),
     }))
     out = tmp_path / "goldens.json"
     monkeypatch.setattr(sys, "argv", ["freeze_goldens.py", "--config", str(config),
                                       "--out", str(out)])
-    assert freeze.main() == EXIT_CACHE
+    return freeze.main(), out
+
+
+def test_freeze_goldens_refuses_missing_cache_dir(tmp_path, monkeypatch, capsys, sieve_calls):
+    code, out = _freeze_with_cache_dir(tmp_path, monkeypatch, tmp_path / "no_such_dir")
+    assert code == EXIT_CACHE
     assert "cache error" in capsys.readouterr().out
+    assert sieve_calls == []
+    assert not out.exists()
+
+
+def test_freeze_goldens_refuses_unusable_cache_dir(tmp_path, monkeypatch, capsys, fresh_windows,
+                                                   sieve_calls, unusable_cache_dir):
+    cache_dir, named = unusable_cache_dir
+    code, out = _freeze_with_cache_dir(tmp_path, monkeypatch, cache_dir)
+    assert code == EXIT_CACHE
+    printed = capsys.readouterr().out
+    assert "cache error" in printed and named in printed
     assert sieve_calls == []
     assert not out.exists()
 

@@ -14,6 +14,7 @@ from mflab.sieve import (
     MAX_INDEX,
     SEGMENT,
     SIEVE_LIMIT,
+    WHEEL,
     PrimeBasis,
     factor_oracle,
     oracle_values,
@@ -136,6 +137,62 @@ def test_segment_boundary_consistency():
     assert np.array_equal(buf[10:], out["squarefree"]) and not buf[:10].any()
     for label in LABELS:
         assert np.array_equal(out[label], sieve(label, lo, hi).values)
+
+
+def _all_labels(lo: int, hi: int) -> dict[str, np.ndarray]:
+    out = {label: np.empty(hi - lo, dtype=np.int8) for label in LABELS}
+    sieve("mobius", lo, hi, out=out)
+    return out
+
+
+def _labels_at(out: dict[str, np.ndarray], i: int) -> tuple[int, int, int]:
+    return int(out["mobius"][i]), int(out["liouville"][i]), int(out["squarefree"][i])
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # isqrt(hi - 1) < 11: wheel primes above the root bound
+    (1, 2), (1, 50), (1, 122),
+    # starting at a multiple of the wheel period, and crossing one
+    (36 * WHEEL, 36 * WHEEL + 600),
+    (37 * WHEEL - 300, 37 * WHEEL + 300),
+])
+def test_kernel_edges_match_oracle(lo, hi):
+    out = _all_labels(lo, hi)
+    for i, n in enumerate(range(lo, hi)):
+        assert _labels_at(out, i) == oracle_values(n), n
+
+
+def test_multi_segment_window_off_the_wheel_matches_oracle():
+    lo = 3 * WHEEL + 12345
+    hi = lo + 2 * SEGMENT + 999
+    out = _all_labels(lo, hi)
+    assert np.array_equal(out["mobius"], out["liouville"] * out["squarefree"])
+    # every 997th index, and 40 on either side of each segment and wheel seam
+    points = set(range(lo, hi, 997))
+    seams = [lo + SEGMENT, lo + 2 * SEGMENT, *range(-(-lo // WHEEL) * WHEEL, hi, WHEEL)]
+    for seam in seams:
+        points.update(range(seam - 40, min(seam + 40, hi)))
+    for n in sorted(points):
+        assert _labels_at(out, n - lo) == oracle_values(n), n
+
+
+PRIMORIAL_12 = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37  # 7 420 738 134 810
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # the product is int32 up to hi = 2**31 and int64 above
+    (2**31 - 300, 2**31),
+    (2**31 - 150, 2**31 + 150),
+    (2**31, 2**31 + 150),
+    # omega(12#) = 12 fills the low nibble of the packed counter far up
+    (PRIMORIAL_12, PRIMORIAL_12 + 8),
+])
+def test_dtype_switch_and_many_prime_factors_match_trial_division(lo, hi):
+    out = _all_labels(lo, hi)
+    for i, n in enumerate(range(lo, hi)):
+        assert _labels_at(out, i) == _trial_division(n), n
+    if lo == PRIMORIAL_12:
+        assert _labels_at(out, 0) == (1, 1, 1)
 
 
 def test_identity_on_medium_window(mu_window, lam_window, sq_window):

@@ -27,6 +27,7 @@ from mflab.symbolic import (
     Block3,
     SkewPoint,
     _encode_windows,
+    _window_values,
     apply_signs,
     block_entropy_estimate,
     empirical_block_measure,
@@ -257,6 +258,20 @@ def test_entropy_memory_does_not_scale_with_window(mu_window):
         tracemalloc.stop()
     # converting the whole 1e7 window to uint64 alone would take 80 MB
     assert peak < 20 * 2**20
+
+
+def test_alphabet_choice_needs_no_window_sized_temporary(mu_window):
+    tracemalloc.start()
+    try:
+        values, binary = _window_values(mu_window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values is mu_window and not binary
+    # a boolean mask of the 1e7 window alone would take 9.5 MiB
+    assert peak < 2**20
+    assert _window_values(np.empty(0, dtype=np.int8))[1]
+    assert _window_values(mu_window[mu_window >= 0][:1000])[1]
 
 
 def test_square_map_and_apply_signs_roundtrip():
