@@ -12,8 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from mflab.config import EXIT_CACHE, load_config
-from mflab.errors import CacheChecksumError, CacheFormatError
+from mflab.config import EXIT_CACHE, EXIT_CONFIG, load_config
+from mflab.errors import CacheChecksumError, CacheFormatError, ConfigError
 from mflab.experiments import load_caches, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
@@ -29,7 +29,11 @@ def main() -> int:
                     help="max_final_abs recorded for every experiment")
     args = ap.parse_args()
 
-    config = load_config(args.config)
+    try:
+        config = load_config(args.config)
+    except ConfigError as exc:
+        print(f"config error: {exc}")
+        return EXIT_CONFIG
     if config.cache_dir is not None:
         try:
             load_caches(config.cache_dir)

@@ -20,6 +20,18 @@ allow_large is set.  Keys other than the ones above, params the experiment
 does not accept and missing params it requires are refused too, so a
 misspelled key cannot silently change a run.
 
+Values are typed as in JSON: output_dir is a string, cache_dir and
+golden_file a string or null, allow_large true or false, n_grid a list of
+integers >= 1 (not booleans), and name a plain file name (no path
+separator, not "." or "..").  Integer params (h, H, k, shifts, exponents)
+must be JSON integers, so 1.5 and true are refused rather than truncated;
+number params (theta, theta_over_2pi, alpha, delta, poly terms) must be
+finite numbers, not strings, booleans or null.  h, H, k >= 1,
+0 < delta < 1, and squarefree_shifts shifts are a list of integers >= 1.
+parse_config builds every entry before returning, so a bad value anywhere
+in the batch exits 2 before any cache is loaded, any window sieved or any
+report written.
+
 A golden file maps experiment names to expected indicator values:
 
     {"dav_gold": {"final_abs": 0.0123, "tol": 1e-4, "require_decreasing": true}}
@@ -40,7 +52,7 @@ from .errors import CacheChecksumError, CacheFormatError, ConfigError
 from .experiments import (
     DEFAULT_GRID,
     LARGE_N_LIMIT,
-    check_params,
+    build_experiment,
     load_caches,
     run_experiment,
 )
@@ -80,7 +92,9 @@ def parse_config(obj: dict) -> RunConfig:
     The keys of the root and of each experiment entry are the fields of
     RunConfig and ExperimentSpec; any other key, any param the experiment
     does not accept and any it requires but lacks, is refused rather than
-    ignored.
+    ignored.  Every entry's params are built (see build_experiment) here,
+    so a bad value is refused before run touches a cache, a window or a
+    report.
     """
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
@@ -88,7 +102,15 @@ def parse_config(obj: dict) -> RunConfig:
     raw = obj.get("experiments")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("config needs a non-empty 'experiments' list")
-    allow_large = bool(obj.get("allow_large", False))
+    allow_large = obj.get("allow_large", False)
+    if not isinstance(allow_large, bool):
+        raise ConfigError(f"allow_large must be true or false, got {allow_large!r}")
+    output_dir = obj.get("output_dir", "reports")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    for key in ("cache_dir", "golden_file"):
+        if not isinstance(obj.get(key), (str, type(None))):
+            raise ConfigError(f"{key} must be a string or null, got {obj[key]!r}")
     specs: list[ExperimentSpec] = []
     seen: set[str] = set()
     for i, entry in enumerate(raw):
@@ -96,7 +118,9 @@ def parse_config(obj: dict) -> RunConfig:
             raise ConfigError(f"experiment #{i} must be an object with an 'id'")
         exp_id = entry["id"]
         _reject_unknown_keys(entry, ExperimentSpec, f"experiment #{i}")
-        name = str(entry.get("name", exp_id))
+        name = entry.get("name", exp_id)
+        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+            raise ConfigError(f"name {name!r} of experiment #{i} must be a plain file name")
         if name in seen:
             raise ConfigError(f"duplicate experiment name {name!r}")
         seen.add(name)
@@ -104,12 +128,13 @@ def parse_config(obj: dict) -> RunConfig:
         if not isinstance(params, dict):
             raise ConfigError(f"params of {name!r} must be an object")
         try:
-            check_params(exp_id, params)
-        except ValueError as exc:
+            build_experiment(exp_id, params)
+        except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for float
             raise ConfigError(f"experiment {name!r}: {exc}") from exc
         grid = entry.get("n_grid", list(DEFAULT_GRID))
         if (not isinstance(grid, list) or not grid
-                or not all(isinstance(n, int) and n >= 1 for n in grid)):
+                or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                           for n in grid)):
             raise ConfigError(f"n_grid of {name!r} must be a list of positive integers")
         if max(grid) > LARGE_N_LIMIT and not allow_large:
             raise ConfigError(
@@ -117,7 +142,7 @@ def parse_config(obj: dict) -> RunConfig:
         specs.append(ExperimentSpec(exp_id, name, params, sorted(grid)))
     return RunConfig(
         experiments=specs,
-        output_dir=str(obj.get("output_dir", "reports")),
+        output_dir=output_dir,
         cache_dir=obj.get("cache_dir"),
         allow_large=allow_large,
         golden_file=obj.get("golden_file"),

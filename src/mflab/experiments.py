@@ -10,21 +10,24 @@ product with one table of exp(i theta j), j < ROW, sums each row of ROW
 terms, and each row sum is turned by its phase exp(i theta n0) (see
 _modulated_average).  The phase error per term is about |theta| * n * eps,
 no worse than one exp per term; the float64 row starts n0 are exact below
-2**53.  EXPERIMENTS lists the params each experiment requires and accepts,
-and run_experiment refuses any other or a missing one.  Reports are JSON
-with sorted keys, so identical configurations produce byte-identical files
-apart from the wall-clock field.
+2**53.  Each EXPERIMENTS entry checks and converts an experiment's params
+once per report (see build_experiment), refusing unknown or missing names
+and any value of the wrong type or range.  Reports are JSON with sorted
+keys, so identical configurations produce byte-identical files apart from
+the wall-clock field.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -208,7 +211,8 @@ def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
 
 @dataclass(frozen=True)
 class Pattern:
-    """Shift pattern with exponents: shifts[i] carries exponents[i] in {1, 2}."""
+    """Shift pattern with exponents: shifts[i] carries exponents[i] in {1, 2},
+    and at least one exponent is 1 (else AllSquaredError)."""
 
     shifts: tuple[int, ...]
     exponents: tuple[int, ...]
@@ -224,18 +228,15 @@ class Pattern:
             raise ValueError("exponents must be 1 or 2")
         if len(self.shifts) == 0:
             raise InvalidRangeError("pattern must be non-empty")
+        if 1 not in self.exponents:
+            # squaring every factor leaves no sign content
+            raise AllSquaredError("pattern needs at least one exponent equal to 1")
 
 
 def pattern_correlation(pattern: Pattern, N: int, label: str = "mobius") -> float:
-    """(1/N) * sum_{n<=N} of the product of label(n + a)^e over the pattern.
-
-    At least one exponent must be 1; squaring every factor leaves no sign
-    content and raises AllSquaredError.
-    """
+    """(1/N) * sum_{n<=N} of the product of label(n + a)^e over the pattern."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
-    if 1 not in pattern.exponents:
-        raise AllSquaredError("pattern needs at least one exponent equal to 1")
     reach = max(pattern.shifts)
     w = sign_window(label, N + reach)
     acc = np.ones(N, dtype=np.int8)
@@ -372,98 +373,111 @@ def input_checksum(exp_id: str, params: dict, grid: list[int]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _resolve_theta(params: dict) -> float:
-    if "theta_over_2pi" in params:
-        return 2.0 * math.pi * float(params["theta_over_2pi"])
-    return float(params.get("theta", 0.0))
+_ABSENT = object()  # default of an optional param, so that a given null is refused
 
 
-def _poly_from_params(params: dict) -> TrigPoly:
-    terms = params.get("poly", [])
-    for t in terms:
-        if not isinstance(t, dict) or "freq" not in t or not set(t) <= {"freq", "re", "im"}:
-            raise ValueError(f"poly term {t!r} must be an object with freq and optional re, im")
-    freqs = [float(t["freq"]) for t in terms]
-    coeffs = [complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))) for t in terms]
+def _integer(name: str, value, least: int = 1) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"param {name!r} takes integers >= {least}, got {value!r}")
+    return value
+
+
+def _integers(name: str, value, least: int = 1) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"param {name!r} must be a list, got {value!r}")
+    return tuple(_integer(name, v, least) for v in value)
+
+
+def _number(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not low < value < high:
+        raise ValueError(f"param {name!r} must be a number in ({low}, {high}), got {value!r}")
+    return float(value)
+
+
+def _theta(theta, theta_over_2pi) -> float:
+    if theta is not _ABSENT and theta_over_2pi is not _ABSENT:
+        raise ValueError("give one of theta and theta_over_2pi, not both")
+    if theta_over_2pi is not _ABSENT:
+        return 2.0 * math.pi * _number("theta_over_2pi", theta_over_2pi)
+    return 0.0 if theta is _ABSENT else _number("theta", theta)
+
+
+def _pattern(*, shifts, exponents, label="mobius"):
+    if label not in LABELS:
+        raise ValueError(f"param 'label' must be one of {', '.join(LABELS)}, got {label!r}")
+    pattern = Pattern(_integers("shifts", shifts, least=0), _integers("exponents", exponents))
+    return partial(pattern_correlation, pattern, label=label)
+
+
+def _window_energy(*, k, h):
+    k, h = _integer("k", k), _integer("h", h)
+    return lambda N: windowed_sum_energy(k, h, N, with_spectral=False)[0] / h**2
+
+
+def _rotation(*, alpha, poly=()):
+    if not isinstance(poly, (list, tuple)) or not all(
+            isinstance(t, dict) and "freq" in t and set(t) <= {"freq", "re", "im"} for t in poly):
+        raise ValueError(f"poly must be a list of objects with freq and optional re, im: {poly!r}")
+    freqs = [_number("poly freq", t["freq"]) for t in poly]
+    coeffs = [complex(_number("poly re", t.get("re", 0.0)), _number("poly im", t.get("im", 0.0)))
+              for t in poly]
     order = np.argsort(freqs, kind="stable")
-    return TrigPoly(np.array(freqs)[order], np.array(coeffs)[order])
+    return partial(rotation_orthogonality, _number("alpha", alpha),
+                   TrigPoly(np.array(freqs)[order], np.array(coeffs)[order]))
 
 
-class Experiment(NamedTuple):
-    """A registry entry: the param names the experiment requires, the
-    ones it also accepts, and its adapter (params, N) -> value."""
-
-    required: frozenset[str]
-    optional: frozenset[str]
-    run: Callable[[dict, int], complex]
-
-
-_THETAS = frozenset({"theta", "theta_over_2pi"})
-
-# Each adapter names its experiment at call time, so a substitute installed
-# on this module (a tracing wrapper) sees every call.
-EXPERIMENTS: dict[str, Experiment] = {
-    "mobius_exponential": Experiment(
-        frozenset(), _THETAS,
-        lambda p, N: mobius_exponential_sum(_resolve_theta(p), N)),
-    "squarefree_shifts": Experiment(
-        frozenset({"shifts"}), _THETAS,
-        lambda p, N: squarefree_modulated_sum(p["shifts"], _resolve_theta(p), N)),
-    "pattern": Experiment(
-        frozenset({"shifts", "exponents"}), frozenset({"label"}),
-        lambda p, N: pattern_correlation(
-            Pattern(tuple(p["shifts"]), tuple(p["exponents"])), N, p.get("label", "mobius"))),
-    "two_point": Experiment(
-        frozenset({"h"}), frozenset(),
-        lambda p, N: two_point_correlation(int(p["h"]), N)),
-    "small_fraction": Experiment(
-        frozenset({"H", "delta"}), frozenset(),
-        lambda p, N: small_correlation_fraction(int(p["H"]), N, float(p["delta"]))),
-    "window_energy": Experiment(
-        frozenset({"k", "h"}), frozenset(),
-        lambda p, N: windowed_sum_energy(
-            int(p["k"]), int(p["h"]), N, with_spectral=False)[0] / int(p["h"]) ** 2),
-    "short_interval": Experiment(
-        frozenset({"H"}), frozenset(),
-        lambda p, N: short_interval_average(int(p["H"]), N)),
-    "rotation": Experiment(
-        frozenset({"alpha"}), frozenset({"poly"}),
-        lambda p, N: rotation_orthogonality(float(p["alpha"]), _poly_from_params(p), N)),
+# Per id, a build: its keyword parameters are the params (those with a
+# default are optional); it checks and converts every value and returns the
+# experiment as a function of N bound to them.  It looks the experiment up
+# when it runs, so a substitute installed on this module (a tracing
+# wrapper) sees every call.
+EXPERIMENTS: dict[str, Callable[..., Callable[[int], complex]]] = {
+    "mobius_exponential": lambda *, theta=_ABSENT, theta_over_2pi=_ABSENT: partial(
+        mobius_exponential_sum, _theta(theta, theta_over_2pi)),
+    "squarefree_shifts": lambda *, shifts, theta=_ABSENT, theta_over_2pi=_ABSENT: partial(
+        squarefree_modulated_sum, _integers("shifts", shifts), _theta(theta, theta_over_2pi)),
+    "pattern": _pattern,
+    "two_point": lambda *, h: partial(two_point_correlation, _integer("h", h)),
+    "small_fraction": lambda *, H, delta: partial(
+        small_correlation_fraction, _integer("H", H), delta=_number("delta", delta, 0.0, 1.0)),
+    "window_energy": _window_energy,
+    "short_interval": lambda *, H: partial(short_interval_average, _integer("H", H)),
+    "rotation": _rotation,
 }
 
 
-def check_params(exp_id: str, params: dict) -> None:
-    """Raise ValueError unless exp_id is registered, accepts every param name
-    given and gets every one it requires, with at most one theta form."""
-    entry = EXPERIMENTS.get(exp_id)
-    if entry is None:
+def build_experiment(exp_id: str, params: dict) -> Callable[[int], complex]:
+    """Experiment exp_id bound to its checked params, as a function of N;
+    ValueError for an unknown id, a param it does not take, one it needs
+    that is missing, and a value of the wrong type or range."""
+    build = EXPERIMENTS.get(exp_id) if isinstance(exp_id, str) else None
+    if build is None:
         raise ValueError(f"unknown experiment id {exp_id!r}")
-    accepted = entry.required | entry.optional
-    unknown = sorted(set(params) - accepted)
+    names = inspect.signature(build).parameters
+    unknown = sorted(set(params) - set(names))
     if unknown:
         raise ValueError(f"experiment {exp_id!r} has no param {', '.join(map(repr, unknown))}; "
-                         f"it accepts {', '.join(sorted(accepted))}")
-    missing = sorted(entry.required - set(params))
+                         f"it accepts {', '.join(sorted(names))}")
+    missing = sorted(n for n, p in names.items() if p.default is p.empty and n not in params)
     if missing:
         raise ValueError(f"experiment {exp_id!r} needs param {', '.join(map(repr, missing))}")
-    if "theta" in params and "theta_over_2pi" in params:
-        raise ValueError("give one of theta and theta_over_2pi, not both")
+    return build(**params)
 
 
 def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None) -> ExperimentReport:
     """Run one experiment over an N grid and assemble its report.
 
-    Unknown ids, unknown or missing params raise ValueError (see
-    check_params).  The report carries the params exactly as passed; the
+    The params are built once (see build_experiment), so unknown ids,
+    unknown or missing params and bad values raise ValueError before any
+    window is read.  The report carries the params exactly as passed; the
     checksum covers the id, the params and the sorted grid.
     """
-    check_params(exp_id, params)
-    adapter = EXPERIMENTS[exp_id].run
+    run = build_experiment(exp_id, params)
     grid = sorted(int(n) for n in (grid or DEFAULT_GRID))
     params = dict(params)
     checksum = input_checksum(exp_id, params, grid)
     t0 = time.perf_counter()
-    values = [complex(adapter(params, N)) for N in grid]
+    values = [complex(run(N)) for N in grid]
     elapsed = (time.perf_counter() - t0) * 1000.0
     mags = [abs(v) for v in values]
     indicators = {

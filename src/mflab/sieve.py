@@ -128,7 +128,8 @@ def primes_upto(bound: int) -> PrimeBasis:
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return PrimeBasis(bound, np.flatnonzero(flags).astype(np.int64))
+    # flatnonzero already gives int64 on 64-bit platforms; no second copy there
+    return PrimeBasis(bound, np.flatnonzero(flags).astype(np.int64, copy=False))
 
 
 _ORACLE_PRIMES: list[int] = []

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from mflab.cache import read_cache, write_cache
 from mflab.cli import main
@@ -166,6 +167,46 @@ def test_experiment_bad_config_exits_two(tmp_path, capsys):
     assert main(["experiment", "--config", str(path)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["experiment", "--config", str(missing)]) == 2
+
+
+# Each stopped a batch after its first report (the first seven with exit 2,
+# the next four with a TypeError traceback) or ran with a truncated or coerced
+# value (the last four).
+BAD_ENTRIES = [
+    {"id": "rotation", "params": {"alpha": 1.0, "poly": [{"freq": 1.0, "rel": 2.0}]}},
+    {"id": "pattern", "params": {"shifts": [0, 0], "exponents": [1, 1]}},
+    {"id": "pattern", "params": {"shifts": [0, 1], "exponents": [2, 2]}},
+    {"id": "pattern", "params": {"shifts": [0, 1], "exponents": [1, 1], "label": "mobuis"}},
+    {"id": "two_point", "params": {"h": 0}},
+    {"id": "two_point", "params": {"h": "x"}},
+    {"id": "small_fraction", "params": {"H": 8, "delta": 2}},
+    {"id": "two_point", "params": {"h": None}},
+    {"id": "squarefree_shifts", "params": {"shifts": 12}},
+    {"id": "mobius_exponential", "params": {"theta": None}},
+    {"id": "rotation", "params": {"alpha": None}},
+    {"id": "two_point", "params": {"h": 1.5}},
+    {"id": "window_energy", "params": {"k": 2.9, "h": 10}},
+    {"id": "squarefree_shifts", "params": {"shifts": "12"}},
+    {"id": "two_point", "params": {"h": True}},
+]
+
+
+@pytest.mark.parametrize("bad", [*BAD_ENTRIES, ["--id", "two_point", "--param", "h=null"]])
+def test_bad_param_value_exits_two_before_any_work(bad, tmp_path, capsys, fresh_windows,
+                                                   sieve_calls):
+    out_dir = tmp_path / "reports"
+    if isinstance(bad, dict):
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps({"experiments": [
+            {"id": "two_point", "name": "tp", "params": {"h": 1}, "n_grid": [100]},
+            {**bad, "name": "bad", "n_grid": [100]}], "output_dir": str(out_dir)}))
+        args = ["--config", str(path)]
+    else:
+        args = [*bad, "--n-grid", "100", "--out", str(out_dir / "tp.json")]
+    assert main(["experiment", *args]) == 2
+    assert "error" in capsys.readouterr().out
+    assert not out_dir.exists()
+    assert sieve_calls == []
 
 
 def test_env_cache_dir_with_corrupt_cache(tmp_path, capsys, monkeypatch):

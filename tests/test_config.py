@@ -70,6 +70,24 @@ def test_parse_config_rejections():
         parse_config({"experiments": [{"id": "two_point"}]})
     with pytest.raises(ConfigError, match="needs param 'alpha'"):
         parse_config({"experiments": [{"id": "rotation", "params": {"poly": []}}]})
+    # root and entry values of the wrong JSON type
+    big = {**tp, "n_grid": [10**8]}
+    with pytest.raises(ConfigError, match="allow_large"):
+        parse_config({"experiments": [big], "allow_large": "false"})
+    with pytest.raises(ConfigError, match="output_dir"):
+        parse_config({"experiments": [tp], "output_dir": 5})
+    with pytest.raises(ConfigError, match="cache_dir"):
+        parse_config({"experiments": [tp], "cache_dir": False})
+    with pytest.raises(ConfigError, match="golden_file"):
+        parse_config({"experiments": [tp], "golden_file": ["goldens.json"]})
+    with pytest.raises(ConfigError, match="n_grid"):
+        parse_config({"experiments": [{**tp, "n_grid": [100, True]}]})
+    with pytest.raises(ConfigError, match="'rotation'"):
+        parse_config({"experiments": [{"id": "rotation", "params": {"alpha": 10**400}}]})
+    # a report name cannot leave output_dir
+    for name in ["../escaped", "sub/tp", ".", "..", "", 7]:
+        with pytest.raises(ConfigError, match="plain file name"):
+            parse_config({"experiments": [{**tp, "name": name}]})
 
 
 def test_parse_config_large_n_gate():
@@ -189,21 +207,39 @@ def test_run_refuses_unusable_cache_dir(tmp_path, unusable_cache_dir, fresh_wind
     assert [call[0] for call in sieve_calls] == ["mobius"]
 
 
+def _run_script(name, monkeypatch, *args):
+    """Run scripts/<name> by path in this process with args as its command line; its exit code."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / name
+    spec = importlib.util.spec_from_file_location(Path(name).stem, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    return module.main()
+
+
 def _freeze_with_cache_dir(tmp_path, monkeypatch, cache_dir):
     """Run scripts/freeze_goldens.py on a one-entry battery; (exit code, its --out path)."""
-    script = Path(__file__).resolve().parent.parent / "scripts" / "freeze_goldens.py"
-    spec = importlib.util.spec_from_file_location("freeze_goldens", script)
-    freeze = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(freeze)
     config = tmp_path / "battery.json"
     config.write_text(json.dumps({
         "experiments": [{"id": "two_point", "name": "tp", "params": {"h": 1}, "n_grid": [100]}],
         "cache_dir": str(cache_dir),
     }))
     out = tmp_path / "goldens.json"
-    monkeypatch.setattr(sys, "argv", ["freeze_goldens.py", "--config", str(config),
-                                      "--out", str(out)])
-    return freeze.main(), out
+    return _run_script("freeze_goldens.py", monkeypatch, "--config", str(config),
+                       "--out", str(out)), out
+
+
+@pytest.mark.parametrize("script", ["decay_battery.py", "freeze_goldens.py"])
+def test_scripts_exit_two_on_config_error(script, tmp_path, monkeypatch, capsys, sieve_calls):
+    config = _write_json(tmp_path / "battery.json", {
+        "experiments": [{"id": "two_point", "params": {"h": 1}, "n_grid": [100]}],
+        "alow_large": True})
+    out = tmp_path / "out"
+    code = _run_script(script, monkeypatch, "--config", str(config), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().out
+    assert sieve_calls == []
+    assert not out.exists()
 
 
 def test_freeze_goldens_refuses_missing_cache_dir(tmp_path, monkeypatch, capsys, sieve_calls):

@@ -1,6 +1,7 @@
 """Sieve correctness against the trial-factorization oracle and known sums."""
 
 import importlib
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -36,6 +37,19 @@ def test_primes_upto_hundred():
 def test_primes_upto_edge_cases():
     assert primes_upto(1).values.tolist() == []
     assert primes_upto(2).values.tolist() == [2]
+
+
+def test_primes_upto_memory_is_one_table_and_one_prime_array():
+    bound = 10**7
+    tracemalloc.start()
+    try:
+        primes = primes_upto(bound).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert primes.dtype == np.int64 and len(primes) == 664_579
+    # the bool flag table plus the primes; a second int64 copy would add 5 MiB
+    assert peak < (bound + 1) + primes.nbytes + 2**20
 
 
 def test_factor_oracle_small():
