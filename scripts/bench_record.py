@@ -11,7 +11,9 @@ There is one round per seed in SEEDS, and every run lasts the benchmark's
 own run_seconds from BENCHMARK.json.  One run.py invocation gives one
 sample per metric: its median over passes.  Each round also times, in a
 fresh process per checkout, one sieve pass over [1, 1e8] that fills all
-three labels: the layer sample layers.sieve_1e8_s.
+three labels, the layer sample layers.sieve_1e8_s, and one read_cache of a
+mobius cache file of 1e7 values that another process wrote just before,
+the layer sample layers.cache_read_1e7_s.
 
 For each checkout it writes BENCH_<TAG>.json into --out-dir.  Each metric
 gets its median, interquartile range and sample count.  The file also
@@ -32,11 +34,13 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("battery_cold", "lab_cached")
 SEEDS = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 SIEVE_TOP = 10**8
+CACHE_LENGTH = 10**7
 RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
                          .read_text())["run_seconds"]
 
@@ -50,22 +54,43 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dic
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
+def run_python(checkout: Path, script: str) -> str:
+    """Stdout of script run in a fresh process that imports mflab from the
+    checkout's src/."""
+    script = "import sys\nsys.path.insert(0, 'src')\n" + script
+    proc = subprocess.run([sys.executable, "-c", script], cwd=checkout, stdout=subprocess.PIPE,
+                          text=True, check=True)
+    return proc.stdout
+
+
 def time_sieve(checkout: Path) -> float:
-    """Seconds of one all-label sieve over [1, SIEVE_TOP], in a fresh process
-    that imports mflab from the checkout's src/."""
-    script = (
-        "import sys, time\n"
+    """Seconds of one all-label sieve over [1, SIEVE_TOP], in a fresh process."""
+    return float(run_python(checkout, (
+        "import time\n"
         "import numpy as np\n"
-        "sys.path.insert(0, 'src')\n"
         "from mflab.sieve import sieve\n"
         f"hi = {SIEVE_TOP} + 1\n"
         "out = {name: np.empty(hi - 1, dtype=np.int8) for name in ('liouville', 'squarefree')}\n"
         "t = time.perf_counter()\n"
         "sieve('mobius', 1, hi, out=out)\n"
-        "print(time.perf_counter() - t)\n")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=checkout, stdout=subprocess.PIPE,
-                          text=True, check=True)
-    return float(proc.stdout)
+        "print(time.perf_counter() - t)\n")))
+
+
+def time_cache_read(checkout: Path) -> float:
+    """Seconds of one read_cache of a mobius cache of CACHE_LENGTH values, in a
+    fresh process; another process writes the file with the checkout's code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "mobius.bin")
+        run_python(checkout, (
+            "from mflab.cache import write_cache\n"
+            "from mflab.sieve import sieve\n"
+            f"write_cache({path!r}, sieve('mobius', 1, {CACHE_LENGTH} + 1))\n"))
+        return float(run_python(checkout, (
+            "import time\n"
+            "from mflab.cache import read_cache\n"
+            "t = time.perf_counter()\n"
+            f"read_cache({path!r})\n"
+            "print(time.perf_counter() - t)\n")))
 
 
 def code_state(checkout: Path) -> dict:
@@ -107,7 +132,8 @@ def main() -> int:
     records = {tag: {"tag": tag, **code_state(path),
                      "seeds": list(SEEDS), "seconds": RUN_SECONDS,
                      "runs": [], "metrics": {},
-                     "layers": {"sieve_1e8_s": {"unit": "s", "samples": []}}}
+                     "layers": {"sieve_1e8_s": {"unit": "s", "samples": []},
+                                "cache_read_1e7_s": {"unit": "s", "samples": []}}}
                for tag, path in checkouts.items()}
     order = list(checkouts)
     for r, seed in enumerate(SEEDS):
@@ -129,9 +155,13 @@ def main() -> int:
                     print(f"round {r} {tag} {workload} trace={trace} seed={seed}: "
                           f"run_s {result['metrics'].get('run_s', {}).get('value')}, "
                           f"failed {result['failed']}", flush=True)
+            layers = records[tag]["layers"]
             seconds = time_sieve(checkouts[tag])
-            records[tag]["layers"]["sieve_1e8_s"]["samples"].append(seconds)
+            layers["sieve_1e8_s"]["samples"].append(seconds)
             print(f"round {r} {tag} sieve [1, 1e8]: {seconds:.3f} s", flush=True)
+            seconds = time_cache_read(checkouts[tag])
+            layers["cache_read_1e7_s"]["samples"].append(seconds)
+            print(f"round {r} {tag} read_cache 1e7: {seconds:.4f} s", flush=True)
 
     out_dir = Path(args.out_dir)
     for tag, rec in records.items():

@@ -33,33 +33,47 @@ _HEADER = struct.Struct("<4sBQQ")
 LABEL_CODES = {"mobius": 0, "liouville": 1, "squarefree": 2, "custom": 3}
 _CODE_LABELS = {v: k for k, v in LABEL_CODES.items()}
 
-# value -> 2-bit code is (value & 3) on the int8 view; code -> value uses
-# this table, with the entry for the invalid code 2 as a sentinel.
-_DECODE = np.array([0, 1, 127, -1], dtype=np.int8)
+# value -> 2-bit code is (value & 3) on the int8 view.  Decoding goes a byte
+# at a time: entry b of this table holds the four int8 values of byte b,
+# lowest code first, as one little-endian word, so a gather of whole words
+# followed by an int8 view is the decoded window.  Bytes holding the invalid
+# code 10 are refused before the gather, so their entries are never read.
+_QUADS = np.array(
+    [sum(((0, 1, 0, -1)[(b >> 2 * j) & 3] & 0xFF) << 8 * j for j in range(4))
+     for b in range(256)],
+    dtype="<u4",
+)
 
 
 def pack_signs(values: np.ndarray) -> bytes:
-    codes = (values.astype(np.int8).view(np.uint8) & 3).astype(np.uint8)
-    pad = (-len(codes)) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    quads = codes.reshape(-1, 4)
-    packed = quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6
-    return packed.astype(np.uint8).tobytes()
+    """Pack values in {-1, 0, +1} four to a byte; CacheFormatError otherwise."""
+    if len(values) and (values.min() < -1 or values.max() > 1):
+        raise CacheFormatError("values outside {-1, 0, +1} have no 2-bit code")
+    codes = np.zeros(-(-len(values) // 4) * 4, dtype=np.int8)
+    codes[: len(values)] = values
+    # one word per output byte: move the code in byte j of each word to
+    # bits 2j, 2j+1 of its low byte
+    x = codes.view("<u4")
+    x &= 0x03030303
+    x |= x >> 6
+    x &= 0x000F000F
+    x |= x >> 12
+    return x.astype(np.uint8).tobytes()
 
 
 def unpack_signs(payload: bytes, length: int) -> np.ndarray:
+    """Decode length values from a packed payload; CacheFormatError when the
+    payload size does not fit length, a padding bit is set or a code is 10."""
     raw = np.frombuffer(payload, dtype=np.uint8)
-    codes = np.empty((len(raw), 4), dtype=np.uint8)
-    for j in range(4):
-        codes[:, j] = (raw >> (2 * j)) & 3
-    flat = codes.reshape(-1)
-    if np.any(flat[length:]):
+    if len(raw) != (length + 3) // 4:
+        raise CacheFormatError(f"payload is {len(raw)} bytes, {length} values need "
+                               f"{(length + 3) // 4}")
+    if length % 4 and raw[-1] >> 2 * (length % 4):
         raise CacheFormatError("nonzero padding bits after the declared length")
-    flat = flat[:length]
-    if np.any(flat == 2):
+    # code 10: the high bit of a pair set and its low bit clear
+    if np.any(raw & ~(raw << 1) & 0xAA):
         raise CacheFormatError("invalid 2-bit code 10 in payload")
-    return _DECODE[flat]
+    return _QUADS.take(raw).view(np.int8)[:length]
 
 
 def write_cache(path: str | Path, seq: SignSeq) -> None:

@@ -86,6 +86,14 @@ def _reject_unknown_keys(obj: dict, known: type, where: str) -> None:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
 
 
+def _check_params(exp_id, name: str, params: dict) -> None:
+    """Build one entry's params (see build_experiment); ConfigError if they are bad."""
+    try:
+        build_experiment(exp_id, params)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for float
+        raise ConfigError(f"experiment {name!r}: {exc}") from exc
+
+
 def parse_config(obj: dict) -> RunConfig:
     """Validate a parsed JSON object into a RunConfig; raises ConfigError.
 
@@ -127,10 +135,7 @@ def parse_config(obj: dict) -> RunConfig:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"params of {name!r} must be an object")
-        try:
-            build_experiment(exp_id, params)
-        except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for float
-            raise ConfigError(f"experiment {name!r}: {exc}") from exc
+        _check_params(exp_id, name, params)
         grid = entry.get("n_grid", list(DEFAULT_GRID))
         if (not isinstance(grid, list) or not grid
                 or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
@@ -181,8 +186,17 @@ def _compare_golden(report, golden: dict) -> list[str]:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a batch: load every cache in cache_dir first (EXIT_CACHE if
-    one is bad), then write one report per experiment and compare goldens."""
+    """Execute a batch: build every entry's params first (EXIT_CONFIG if one
+    is bad, as a RunConfig built by hand has not been through parse_config),
+    then load every cache in cache_dir (EXIT_CACHE if one is bad), then write
+    one report per experiment and compare goldens."""
+    try:
+        for spec in config.experiments:
+            _check_params(spec.id, spec.name, spec.params)
+    except ConfigError as exc:
+        print(f"config error: {exc}")
+        return EXIT_CONFIG
+
     try:
         if config.cache_dir is not None:
             load_caches(config.cache_dir)

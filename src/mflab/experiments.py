@@ -290,10 +290,13 @@ def windowed_sum_energy(k: int, h: int, N: int,
         raise InvalidRangeError(f"need k, h, N >= 1, got k={k}, h={h}, N={N}")
     reach = h * k
     mu = sign_window("mobius", N + reach)
-    sums = np.zeros(N, dtype=np.int32)
+    # |sum| <= h, so up to h = 127 the sums fit int8 and their squares int16
+    narrow = h <= 127
+    sums = np.zeros(N, dtype=np.int8 if narrow else np.int32)
     for l in range(1, h + 1):
         sums += mu[k * l : k * l + N]
-    direct = int(np.sum(sums * sums, dtype=np.int64)) / N
+    squares = np.square(sums, dtype=np.int16 if narrow else np.int64)
+    direct = int(np.sum(squares, dtype=np.int64)) / N
     if not with_spectral:
         return direct, None
 

@@ -154,11 +154,10 @@ class MirskyDensity:
 def _truncated_product(shifts: list[int], primes: np.ndarray) -> float:
     if not shifts:
         return 1.0
-    arr = np.asarray(shifts, dtype=np.int64)
     out = 1.0
-    for p in primes:
-        sq = int(p) * int(p)
-        t = len(np.unique(arr % sq))
+    for p in primes.tolist():
+        sq = p * p
+        t = len({a % sq for a in shifts})
         out *= 1.0 - t / sq
         if out == 0.0:
             break

@@ -1,5 +1,8 @@
 """Binary sign-cache format: roundtrips, corruption detection, packing."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +51,55 @@ def test_pack_density():
 def test_pack_unpack_roundtrip(vals):
     arr = np.array(vals, dtype=np.int8)
     assert np.array_equal(unpack_signs(pack_signs(arr), len(arr)), arr)
+
+
+# 1, -1, 0, 1 | -1, 1, -1, 1 as codes 01 11 00 01 | 11 01 11 01, low bits first
+FROZEN_VALUES = [1, -1, 0, 1, -1, 1, -1, 1]
+
+
+@pytest.mark.parametrize("length, packed", [
+    (8, b"\x4d\x77"),   # no padding code
+    (7, b"\x4d\x37"),   # one
+    (6, b"\x4d\x07"),   # two
+    (5, b"\x4d\x03"),   # three
+])
+def test_pack_signs_frozen_bytes(length, packed):
+    values = np.array(FROZEN_VALUES[:length], dtype=np.int8)
+    assert pack_signs(values) == packed
+    assert np.array_equal(unpack_signs(packed, length), values)
+
+
+@pytest.mark.parametrize("values", [[5, 1, -3, 1], [2], [0, 1, -128], [127, 0]])
+def test_out_of_range_values_are_refused_before_writing(values, tmp_path):
+    arr = np.array(values, dtype=np.int8)
+    with pytest.raises(CacheFormatError, match="outside"):
+        pack_signs(arr)
+    path = tmp_path / "custom.bin"
+    with pytest.raises(CacheFormatError, match="outside"):
+        write_cache(path, SignSeq("custom", 1, arr))
+    assert not path.exists()
+
+
+def _file_with_payload(path, length, payload):
+    """A cache file around a raw payload, with a header and CRC that validate."""
+    body = struct.pack("<4sBQQ", b"MFL1", LABEL_CODES["custom"], 1, length) + payload
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+@pytest.mark.parametrize("length, payload, message", [
+    (4, b"\x02", "invalid 2-bit code 10"),          # code 10 first
+    (8, b"\x45\x80", "invalid 2-bit code 10"),      # code 10 last, in the second byte
+    (5, b"\x00\x02", "invalid 2-bit code 10"),      # code 10 as the last value
+    (5, b"\x00\x04", "nonzero padding bits"),       # a 01 in the first padding code
+    (7, b"\x00\x80", "nonzero padding bits"),       # a 10 in the last padding code
+    (1, b"\x40", "nonzero padding bits"),
+])
+def test_bad_codes_with_valid_crc_are_refused(tmp_path, length, payload, message):
+    path = _file_with_payload(tmp_path / "bad.bin", length, payload)
+    with pytest.raises(CacheFormatError, match=message):
+        read_cache(path)
+    assert cache_verify(path) is False
 
 
 def test_flipped_payload_byte_detected(tmp_path):

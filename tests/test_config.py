@@ -207,6 +207,20 @@ def test_run_refuses_unusable_cache_dir(tmp_path, unusable_cache_dir, fresh_wind
     assert [call[0] for call in sieve_calls] == ["mobius"]
 
 
+def test_run_checks_every_spec_before_any_work(tmp_path, fresh_windows, sieve_calls, capsys):
+    # a RunConfig built by hand, so parse_config never saw the bad second entry
+    cfg = RunConfig(
+        experiments=[ExperimentSpec("two_point", "tp", {"h": 1}, [100]),
+                     ExperimentSpec("two_point", "bad", {"h": 1.5}, [100])],
+        output_dir=str(tmp_path / "out"),
+        cache_dir=str(tmp_path / "no_such_dir"),
+    )
+    assert run(cfg) == EXIT_CONFIG
+    assert "config error: experiment 'bad'" in capsys.readouterr().out
+    assert sieve_calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def _run_script(name, monkeypatch, *args):
     """Run scripts/<name> by path in this process with args as its command line; its exit code."""
     script = Path(__file__).resolve().parent.parent / "scripts" / name

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mflab.experiments as ex
 from mflab.cache import write_cache
 from mflab.errors import AllSquaredError, InvalidRangeError, NotDisjointError
 from mflab.experiments import (
@@ -134,6 +135,22 @@ def test_windowed_sum_energy_direct_brute(mu_window):
         for n in range(1, N + 1))
     assert direct == total / N
     assert abs(direct - spectral) <= (2 * h * k / N) * h * h
+
+
+@pytest.mark.parametrize("h", [127, 128, 129])
+def test_windowed_sum_energy_both_accumulators_match_brute(h, mu_window, monkeypatch):
+    # h = 127 sums in int8, h >= 128 in int32.  An int8 sum would still square
+    # right at h = 128 (+128 wraps to -128), so 129 is the first h it would get wrong.
+    k, N = 2, 300
+    direct, _ = windowed_sum_energy(k, h, N, with_spectral=False)
+    total = sum(
+        sum(int(mu_window[n + k * l - 1]) for l in range(1, h + 1)) ** 2
+        for n in range(1, N + 1))
+    assert direct == total / N
+    # constant windows reach the extremes |sum| = h of each accumulator
+    for fill in (1, -1):
+        monkeypatch.setattr(ex, "sign_window", lambda label, n: np.full(n, fill, dtype=np.int8))
+        assert windowed_sum_energy(k, h, N, with_spectral=False)[0] == h * h
 
 
 def test_windowed_sum_energy_skip_spectral():

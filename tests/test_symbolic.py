@@ -20,11 +20,13 @@ from mflab.errors import (
     WindowTooLongError,
     ZeroSetTooLargeError,
 )
+from mflab.sieve import primes_upto
 from mflab.symbolic import (
     _BINARY_LEN_CAP,
     _TERNARY_LEN_CAP,
     Block2,
     Block3,
+    MIRSKY_PRIME_BOUND,
     SkewPoint,
     _encode_windows,
     _window_values,
@@ -118,6 +120,35 @@ def test_mirsky_empirical_is_exact_count(sq_window):
         1 for n in range(1, n_check + 1)
         if sq[n - 1] == 1 and sq[n + 1] == 1 and sq[n] == 0)
     assert md.empirical == hits / n_check
+
+
+def _unique_product(shifts, primes):
+    """Truncated Mirsky product with residues counted by np.unique, prime by prime."""
+    arr = np.asarray(shifts, dtype=np.int64)
+    out = 1.0
+    for p in primes:
+        if not len(arr):
+            break
+        sq = int(p) * int(p)
+        out *= 1.0 - len(np.unique(arr % sq)) / sq
+        if out == 0.0:
+            break
+    return out
+
+
+@pytest.mark.parametrize("ones, zeros", [
+    ([0], []), ([0, 1, 3], [2, 6]), ([0, 4, 8, 12], [1, 2, 3]), ([0, 1, 2, 3], []),
+    ([5, 29, 150, 151], [0, 49]), ([], [0, 7]),
+])
+def test_mirsky_product_matches_unique_reference(ones, zeros, sq_window):
+    primes = primes_upto(MIRSKY_PRIME_BOUND).values
+    expected = 0.0
+    for r in range(len(zeros) + 1):
+        for extra in combinations(zeros, r):
+            term = _unique_product(ones + list(extra), primes)
+            expected += term if r % 2 == 0 else -term
+    md = mirsky_cylinder_density(ones, zeros, 100, squarefree_window=sq_window)
+    assert md.product_estimate == expected
 
 
 def test_block_table_frequencies_sum_to_one():
