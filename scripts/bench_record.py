@@ -9,9 +9,11 @@ seed; the order of the checkouts is reversed on every other round, so
 two checkouts alternate as pairs and drift of the host falls on both.
 There is one round per seed in SEEDS, and every run lasts the benchmark's
 own run_seconds from BENCHMARK.json.  One run.py invocation gives one
-sample per metric: its median over passes.  Each round also times, in a
-fresh process per checkout, one sieve pass over [1, 1e8] that fills all
-three labels, the layer sample layers.sieve_1e8_s, and one read_cache of a
+sample per metric: its median over passes.  Each round also times, per
+checkout, SIEVE_SAMPLES sieve passes over [1, 1e8] that fill all three
+labels, each in a fresh process, the layer samples layers.sieve_1e8_s
+(every one is recorded; a single pass a round spread too widely to show
+a sieve change below about 20%), and one read_cache of a
 mobius cache file of 1e7 values that another process wrote just before,
 the layer sample layers.cache_read_1e7_s.
 
@@ -40,6 +42,7 @@ from pathlib import Path
 WORKLOADS = ("battery_cold", "lab_cached")
 SEEDS = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 SIEVE_TOP = 10**8
+SIEVE_SAMPLES = 3  # fresh-process sieve timings per checkout and round
 CACHE_LENGTH = 10**7
 RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
                          .read_text())["run_seconds"]
@@ -156,9 +159,10 @@ def main() -> int:
                           f"run_s {result['metrics'].get('run_s', {}).get('value')}, "
                           f"failed {result['failed']}", flush=True)
             layers = records[tag]["layers"]
-            seconds = time_sieve(checkouts[tag])
-            layers["sieve_1e8_s"]["samples"].append(seconds)
-            print(f"round {r} {tag} sieve [1, 1e8]: {seconds:.3f} s", flush=True)
+            samples = [time_sieve(checkouts[tag]) for _ in range(SIEVE_SAMPLES)]
+            layers["sieve_1e8_s"]["samples"].extend(samples)
+            print(f"round {r} {tag} sieve [1, 1e8]: "
+                  f"{', '.join(f'{x:.3f}' for x in samples)} s", flush=True)
             seconds = time_cache_read(checkouts[tag])
             layers["cache_read_1e7_s"]["samples"].append(seconds)
             print(f"round {r} {tag} read_cache 1e7: {seconds:.4f} s", flush=True)

@@ -16,7 +16,9 @@ Config schema (all paths relative to the invoking directory):
 Exit code semantics of run(): 0 all good, 1 a golden comparison failed,
 2 the config did not parse or validate, 3 a *.bin file in cache_dir is
 malformed or corrupt.  Window lengths above 1e7 are refused unless
-allow_large is set.  Keys other than the ones above, params the experiment
+allow_large is set: an n_grid entry above LARGE_N_LIMIT, and a param that
+widens the window past N by more than that (h, H, h*k or the largest
+shift).  Keys other than the ones above, params the experiment
 does not accept and missing params it requires are refused too, so a
 misspelled key cannot silently change a run.
 
@@ -94,6 +96,14 @@ def _check_params(exp_id, name: str, params: dict) -> None:
         raise ConfigError(f"experiment {name!r}: {exc}") from exc
 
 
+def _reach(params: dict) -> int:
+    """How far past N an entry's window reaches: its largest h, H, h*k or shift."""
+    reach = [params.get("h", 0), params.get("H", 0), *params.get("shifts", ())]
+    if "k" in params:
+        reach.append(params["h"] * params["k"])
+    return max(reach)
+
+
 def parse_config(obj: dict) -> RunConfig:
     """Validate a parsed JSON object into a RunConfig; raises ConfigError.
 
@@ -144,6 +154,10 @@ def parse_config(obj: dict) -> RunConfig:
         if max(grid) > LARGE_N_LIMIT and not allow_large:
             raise ConfigError(
                 f"n_grid of {name!r} exceeds {LARGE_N_LIMIT}; set allow_large to opt in")
+        reach = _reach(params)
+        if reach > LARGE_N_LIMIT and not allow_large:
+            raise ConfigError(f"params of {name!r} reach {reach} indices past N, "
+                              f"above {LARGE_N_LIMIT}; set allow_large to opt in")
         specs.append(ExperimentSpec(exp_id, name, params, sorted(grid)))
     return RunConfig(
         experiments=specs,

@@ -308,6 +308,11 @@ def windowed_sum_energy(k: int, h: int, N: int,
     return direct, spectral
 
 
+def _partial_sum_dtype(length: int) -> type:
+    """int32 when partial sums of `length` signs fit it (|sum| <= length), else int64."""
+    return np.int32 if length < 2**31 else np.int64
+
+
 def short_interval_average(H: int, X: int) -> float:
     """(1/(H*X)) * sum_{x=X..2X-1} |sum_{x < k <= x+H} mobius(k)|."""
     if H < 1 or X < 1:
@@ -315,8 +320,8 @@ def short_interval_average(H: int, X: int) -> float:
     # csum[i] = sum of mobius(k) for X < k <= X + i; each inner sum is a
     # difference of two, so the partial sums up to X are never needed
     mu = sign_window("mobius", 2 * X + H)[X:]
-    csum = np.zeros(X + H + 1, dtype=np.int64)
-    np.cumsum(mu, dtype=np.int64, out=csum[1:])
+    csum = np.zeros(X + H + 1, dtype=_partial_sum_dtype(X + H))
+    np.cumsum(mu, dtype=csum.dtype, out=csum[1:])
     inner = csum[H : X + H] - csum[:X]
     np.abs(inner, out=inner)
     return int(np.sum(inner, dtype=np.int64)) / (H * X)

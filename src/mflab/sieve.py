@@ -2,31 +2,41 @@
 
 All three labels are produced from one segment pass, and sieve() hands out
 every label a caller asks for from that pass.  A segment of up to 2**20
-indices keeps, for every index n, one packed uint8 counter, the product of
-the small prime powers dividing n, and a square-free flag.  Any index whose
-accumulated product falls short of n itself has exactly one prime divisor
-above the segment's root bound, which the counter then takes as one more
-first power.
+indices keeps, for every index n, one little-endian uint16 word and a
+square-free flag.  Each prime power p**k dividing n adds one amount to the
+word in one strided pass: (17 << 8) + L(p) for k = 1 and (16 << 8) + L(p)
+above, where L(p) = floor(4*log2(p)) = (p**4).bit_length() - 1, exactly.
 
-The counter gets 17 at each multiple of a prime p and 16 at each multiple
-of a higher power p**k.  Its low nibble is then omega(n), the number of
-distinct prime divisors, and its high nibble Omega(n) mod 16, the number
-counted with multiplicity.  The low nibble never carries into the high
-one: omega(n) <= 15 for every n <= MAX_INDEX, since the product of the
-first 16 primes, about 3.3e19, exceeds 2**63.  The Mobius sign comes from
-bit 0, masked by the square-free flag, and the Liouville sign from bit 4.
-The two nibbles are still summed independently, so the pointwise identity
-mobius = liouville * squarefree cross-checks two counting routes instead
-of restating a definition.
+The high byte is then a packed counter.  Its low nibble is omega(n), the
+number of distinct prime divisors, and its high nibble Omega(n) mod 16,
+the number counted with multiplicity.  The low nibble never carries into
+the high one: omega(n) <= 15 for every n <= MAX_INDEX, since the product
+of the first 16 primes, about 3.3e19, exceeds 2**63.  The Mobius sign
+comes from bit 0, masked by the square-free flag, and the Liouville sign
+from bit 4.  The two nibbles are still summed independently, so the
+pointwise identity mobius = liouville * squarefree cross-checks two
+counting routes instead of restating a definition.
 
-The product is int32 when hi <= 2**31 and int64 above: it never exceeds n.
+The low byte is the log sum of the prime powers marked at n, the primes up
+to top = isqrt(e - 1) of the segment [s, e).  At most one prime factor of
+n exceeds top, and for n in [2**k, 2**(k+1)) it has one exactly when the
+log sum is below 3k, which the counter then takes as one more first power:
+- n > 1 fully marked: log sum > 4*log2(n) - Omega(n) >= 3*log2(n) >= 3k
+  (and n = 1 has log sum 0 = 3k).
+- n = m*q, prime q > top, q >= 13: q*q >= (top+1)**2 >= e > n, so
+  4*log2(q) > k + 2*log2(13) >= k + 7.4 and log sum <= 4*log2(m) < 3k - 3.4.
+- No carry into the counter: log sum <= 4*log2(n) < 4*63 = 252.
+So 3k is one threshold per power-of-two band of a segment, and a segment
+crosses at most two bands, except the one that starts at 1.
+
 The powers 2, 4, 8, 3, 9, 5, 7 and 11 are not sieved per segment: sieve()
-builds their counter, product and flag once as a pattern of period
+builds their word and flag once as a pattern of period
 WHEEL = 8*9*5*7*11 = 27720, and each segment starts as a copy of it at
-offset lo mod WHEEL.  A wheel prime above a segment's root bound is marked
-too, which is harmless: its square exceeds every n there, so marking it
-gives what the leftover step would.  The segment buffers are allocated
-once per call and refilled by that copy.
+offset lo mod WHEEL.  That is why a leftover q is at least 13.  A wheel
+prime above a segment's root bound is marked too, which is harmless: its
+square exceeds every n there, so marking it gives what the leftover step
+would.  The segment buffers are allocated once per call and refilled by
+that copy.
 
 Indices are 1-based and 64-bit throughout (MAX_INDEX).  Ranges are half
 open: [lo, hi) covers lo, lo+1, ..., hi-1.  sieve() takes hi up to
@@ -182,57 +192,60 @@ def oracle_values(n: int) -> tuple[int, int, int]:
 # Its period WHEEL is the product of those powers.
 WHEEL_POWERS = {2: 8, 3: 9, 5: 5, 7: 7, 11: 11}
 WHEEL = 8 * 9 * 5 * 7 * 11
+WORD = np.dtype("<u2")  # high byte: the packed counter; low byte: the log sum
 
 
-def _wheel(dtype: type, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(count, partial, squarefree) of the WHEEL_POWERS alone for n = 0..length-1:
+def _log_weight(p: int) -> int:
+    """floor(4*log2(p)), exactly: the largest L with 2**L <= p**4."""
+    return (p**4).bit_length() - 1
+
+
+def _wheel(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(word, squarefree) of the WHEEL_POWERS alone for n = 0..length-1:
     one period of WHEEL entries, repeated, so entry j serves every n = j mod WHEEL."""
-    count = np.zeros(WHEEL, dtype=np.uint8)
-    partial = np.ones(WHEEL, dtype=dtype)
+    word = np.zeros(WHEEL, dtype=WORD)
     squarefree = np.ones(WHEEL, dtype=np.int8)
     for p, cap in WHEEL_POWERS.items():
+        log = _log_weight(p)
         q = p
         while q <= cap:
-            count[::q] += 17 if q == p else 16
-            partial[::q] *= p
+            word[::q] += ((17 if q == p else 16) << 8) + log
             if q == p * p:
                 squarefree[::q] = 0
             q *= p
-    return np.resize(count, length), np.resize(partial, length), np.resize(squarefree, length)
+    return np.resize(word, length), np.resize(squarefree, length)
 
 
 def _segments(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield (s, e, count, squarefree) for each segment [s, e) of [lo, hi).
 
-    count is the packed counter and squarefree the int8 flag of the module
-    docstring.  Both are scratch that the next segment overwrites.
+    count is the packed counter, a strided uint8 view of the words' high
+    bytes, and squarefree the int8 flag of the module docstring.  Both are
+    scratch that the next segment overwrites.
     """
     primes = primes_upto(isqrt(hi - 1)).values.tolist()
-    dtype = np.int32 if hi <= 2**31 else np.int64  # partial <= n < hi
     width = min(SEGMENT, hi - lo)
-    wheel = _wheel(dtype, WHEEL + width)
-    count = np.empty(width, dtype=np.uint8)
-    partial = np.empty(width, dtype=dtype)  # product of the small prime powers dividing n
+    wheel_word, wheel_sq = _wheel(WHEEL + width)
+    word = np.empty(width, dtype=WORD)
     squarefree = np.empty(width, dtype=np.int8)
     leftover = np.empty(width, dtype=bool)
-    ramp = np.arange(width, dtype=dtype)
     for s in range(lo, hi, SEGMENT):
         e = min(s + SEGMENT, hi)
         size = e - s
-        cnt, part, sq, left = count[:size], partial[:size], squarefree[:size], leftover[:size]
-        for table, tile in zip((cnt, part, sq), wheel):
-            table[:] = tile[s % WHEEL : s % WHEEL + size]
+        w, sq, left = word[:size], squarefree[:size], leftover[:size]
+        w[:] = wheel_word[s % WHEEL : s % WHEEL + size]
+        sq[:] = wheel_sq[s % WHEEL : s % WHEEL + size]
         top = isqrt(e - 1)
         for p in primes:
             if p > top:
                 break
+            first = (-s) % p
+            if first >= size:
+                continue  # no multiple of p in the segment, so none of its powers
+            log = _log_weight(p)
             q = WHEEL_POWERS.get(p, 1)  # the largest power of p already marked
             if q == 1:
-                first = (-s) % p
-                if first >= size:
-                    continue  # no multiple of p in the segment, so none of its powers
-                cnt[first::p] += 17
-                part[first::p] *= p
+                w[first::p] += (17 << 8) + log
                 q = p
             # a power q of p has a multiple in the segment exactly when start < size
             while True:
@@ -242,17 +255,19 @@ def _segments(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarr
                     break
                 if q == p * p:
                     sq[start::q] = 0
-                cnt[start::q] += 16
-                part[start::q] *= p
-        # A shortfall in the accumulated product means exactly one prime factor
-        # above top remains; it is simple, so it adds 17 like any first power.
-        # part - j == s tests part == s + j without building the index array.
-        part -= ramp[:size]
-        np.not_equal(part, s, out=left)
+                w[start::q] += (16 << 8) + log
+        # Below 3k on the band [2**k, 2**(k+1)), the log byte leaves exactly
+        # one prime factor above top unmarked; it is simple, so it adds 17
+        # like any first power.
+        pair = w.view(np.uint8)  # little-endian: low byte first
+        logs, count = pair[0::2], pair[1::2]
+        for k in range(s.bit_length() - 1, (e - 1).bit_length()):
+            a, b = max(s, 1 << k) - s, min(e, 2 << k) - s
+            np.less(logs[a:b], 3 * k, out=left[a:b])
         bump = left.view(np.uint8)
         bump *= 17
-        cnt += bump
-        yield s, e, cnt, sq
+        count += bump
+        yield s, e, count, sq
 
 
 def sieve(label: str, lo: int, hi: int,

@@ -98,6 +98,36 @@ def test_parse_config_large_n_gate():
     assert cfg.experiments[0].n_grid == [10**8]
 
 
+@pytest.mark.parametrize("entry", [
+    {"id": "two_point", "params": {"h": 10**9}},
+    {"id": "small_fraction", "params": {"H": 10**7 + 1, "delta": 0.5}},
+    {"id": "short_interval", "params": {"H": 10**8}},
+    {"id": "window_energy", "params": {"k": 10**4, "h": 10**4}},
+    {"id": "squarefree_shifts", "params": {"shifts": [1, 10**8]}},
+    {"id": "pattern", "params": {"shifts": [0, 10**8], "exponents": [1, 1]}},
+])
+def test_params_that_widen_the_window_are_gated(entry):
+    # n_grid [100] is small, but each entry reaches more than 1e7 indices past N
+    entry = {**entry, "n_grid": [100]}
+    with pytest.raises(ConfigError, match="allow_large"):
+        parse_config({"experiments": [entry]})
+    cfg = parse_config({"experiments": [entry], "allow_large": True})
+    assert cfg.experiments[0].params == entry["params"]
+    # at the limit itself the entry parses without the opt-in
+    at_limit = {"id": "two_point", "params": {"h": 10**7}, "n_grid": [100]}
+    assert parse_config({"experiments": [at_limit]}).experiments[0].params == {"h": 10**7}
+
+
+def test_checked_in_batches_parse_without_allow_large():
+    load_config(Path(__file__).resolve().parent.parent / "configs" / "decay_battery.json")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    cfg = parse_config({"experiments": inputs.lab_experiments(0, 0)})
+    assert len(cfg.experiments) == len(inputs.lab_experiments(0, 0))
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")

@@ -161,13 +161,19 @@ def test_windowed_sum_energy_skip_spectral():
 
 
 def test_short_interval_average_matches_brute(mu_window):
-    H, X = 10, 10**4
-    got = short_interval_average(H, X)
-    mu = mu_window
-    total = 0
-    for x in range(X, 2 * X):
-        total += abs(sum(int(mu[j - 1]) for j in range(x + 1, x + H + 1)))
-    assert got == total / (H * X)
+    mu = mu_window[: 3 * 10**4].tolist()
+    for H, X in [(10, 10**4), (1, 1), (3, 7), (50, 20), (7, 300)]:
+        total = sum(abs(sum(mu[x : x + H])) for x in range(X, 2 * X))
+        assert short_interval_average(H, X) == total / (H * X), (H, X)
+
+
+def test_short_interval_partial_sums_switch_to_int64_at_2_31():
+    # |partial sum| <= its length, so int32 holds every length below 2**31
+    for length in (1, 4 * 10**6 + 100, 2**31 - 1):
+        assert ex._partial_sum_dtype(length) is np.int32
+        assert np.iinfo(np.int32).max >= length
+    for length in (2**31, 2**31 + 1, 10**12):
+        assert ex._partial_sum_dtype(length) is np.int64
 
 
 def test_rotation_orthogonality_is_linear():

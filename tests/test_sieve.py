@@ -1,9 +1,11 @@
 """Sieve correctness against the trial-factorization oracle and known sums."""
 
+import hashlib
 import importlib
 import tracemalloc
 from math import isqrt
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from mflab.sieve import (
     SIEVE_LIMIT,
     WHEEL,
     PrimeBasis,
+    _log_weight,
     factor_oracle,
     oracle_values,
     primes_upto,
@@ -194,19 +197,91 @@ PRIMORIAL_12 = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37  # 7 420 73
 
 
 @pytest.mark.parametrize("lo, hi", [
-    # the product is int32 up to hi = 2**31 and int64 above
+    # below, across and above 2**31, the first index past int32
     (2**31 - 300, 2**31),
     (2**31 - 150, 2**31 + 150),
     (2**31, 2**31 + 150),
     # omega(12#) = 12 fills the low nibble of the packed counter far up
     (PRIMORIAL_12, PRIMORIAL_12 + 8),
 ])
-def test_dtype_switch_and_many_prime_factors_match_trial_division(lo, hi):
+def test_around_2_31_and_primorial_match_trial_division(lo, hi):
     out = _all_labels(lo, hi)
     for i, n in enumerate(range(lo, hi)):
         assert _labels_at(out, i) == _trial_division(n), n
     if lo == PRIMORIAL_12:
         assert _labels_at(out, 0) == (1, 1, 1)
+
+
+# sha256 of each label's int8 bytes, frozen from the earlier leftover test that
+# compared n with the product of its small prime powers: a second route to
+# the same values
+FROZEN_SHA256 = {
+    (1, 2**20 + 12345): {
+        "mobius": "ba7554a78760fc495cb24ef73854f86ee8729441c3ebd946b768659decb8d720",
+        "liouville": "258d10d749d219df4e23e4f6e792280f6a6f7ab6f3968d5029f1001430906403",
+        "squarefree": "80a00024879ef728bbddecffe1f96ae719a5079ca08f29e86c890c5dbe8479d8",
+    },
+    (2**31 - 2**16, 2**31 + 2**16): {
+        "mobius": "62f9f9e50b7c1a8975d9371703b008c0f4cb341e37262b2ba749729e9ad97ef5",
+        "liouville": "6d8a758389f02f3679e212d7b6472efee3e9b9ac3831199f733f2de76643f676",
+        "squarefree": "f587fbe98888f95aa6fd41b6bfc92e7f53af39a2a21b9c4714e3f9533c2a3c61",
+    },
+    (10**15, 10**15 + 2**16): {
+        "mobius": "02f2a53babe2f14336ae143ad6171798cca84d2ec6eae6722a523e0ecac71383",
+        "liouville": "12c4d4b495c742bfe9f0228f169943b0ce6a1fc188a3719ae9cb93ef6cb1532b",
+        "squarefree": "3869b6b64ee63fb1590ffb330b870367a81d943dc1ebdb5d89ba3f614d774e1c",
+    },
+}
+
+
+@pytest.mark.parametrize("lo, hi", list(FROZEN_SHA256))
+def test_sieve_bytes_match_frozen_sha256(lo, hi):
+    out = _all_labels(lo, hi)
+    assert {label: hashlib.sha256(out[label].tobytes()).hexdigest()
+            for label in LABELS} == FROZEN_SHA256[lo, hi]
+
+
+def test_powers_of_two_at_the_bottom_of_a_window(monkeypatch):
+    # n = 2**k and 3 * 2**k carry the largest log byte for their band: 4k and
+    # 4k + 6 (L(2) = 4, L(3) = 6) against the leftover threshold 3k.  Only 2
+    # and 3 divide them, so the base primes are cut to those below 100: the
+    # values at n do not depend on the others, and the windows stay cheap.
+    sv = importlib.import_module("mflab.sieve")
+    monkeypatch.setattr(sv, "primes_upto", lambda bound, full=sv.primes_upto: full(min(bound, 100)))
+    for k in range(52):
+        for t in (0, 1):
+            n, distinct, omega = 3**t << k, (k > 0) + t, k + t
+            assert n < SIEVE_LIMIT
+            out = _all_labels(n, n + 8)
+            squarefree = int(omega == distinct)
+            assert _labels_at(out, 0) == ((-1) ** distinct * squarefree, (-1) ** omega,
+                                          squarefree), n
+
+
+_SMALL_PRIMES = primes_upto(2**16).values
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division by the primes up to 2**16; enough for n < 2**32."""
+    return n > 1 and bool(np.all(n % _SMALL_PRIMES[_SMALL_PRIMES**2 <= n]))
+
+
+def test_log_weight_is_floor_of_four_log2_at_the_band_edges():
+    # L(p) steps from j - 1 to j at 2**(j/4); check the primes on either side
+    # of each ceil(2**(j/4)) up to 2**32, past isqrt(MAX_INDEX), against a
+    # 40-digit log2 (4 log2 p is irrational for p > 2, so its floor is sharp)
+    checked = []
+    with mpmath.workdps(40):
+        for j in range(5, 129):
+            edge = int(mpmath.ceil(mpmath.power(2, mpmath.mpf(j) / 4)))
+            below = next(p for p in range(edge - 1, 1, -1) if _is_prime(p))
+            above = next(p for p in range(edge, 2 * edge) if _is_prime(p))
+            for p in (below, above):
+                assert _log_weight(p) == int(mpmath.floor(4 * mpmath.log(p, 2))), p
+            assert _log_weight(below) < j <= _log_weight(above)
+            checked.append(above)
+    assert checked[-1] > isqrt(MAX_INDEX)
+    assert _log_weight(2) == 4 and _log_weight(3) == 6
 
 
 def test_identity_on_medium_window(mu_window, lam_window, sq_window):
