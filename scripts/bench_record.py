@@ -15,7 +15,11 @@ labels, each in a fresh process, the layer samples layers.sieve_1e8_s
 (every one is recorded; a single pass a round spread too widely to show
 a sieve change below about 20%), and one read_cache of a
 mobius cache file of 1e7 values that another process wrote just before,
-the layer sample layers.cache_read_1e7_s.
+the layer sample layers.cache_read_1e7_s.  It also times two commands end
+to end, each in a fresh process and with start-up included:
+`mfl experiment --id mobius_exponential --n-grid 10000000`
+(layers.experiment_1e7_s) and scripts/decay_battery.py against its goldens
+(layers.decay_battery_s).
 
 For each checkout it writes BENCH_<TAG>.json into --out-dir.  Each metric
 gets its median, interquartile range and sample count.  The file also
@@ -33,10 +37,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 WORKLOADS = ("battery_cold", "lab_cached")
@@ -96,6 +102,29 @@ def time_cache_read(checkout: Path) -> float:
             "print(time.perf_counter() - t)\n")))
 
 
+def time_command(checkout: Path, *args: str) -> float:
+    """Wall seconds of `python args...` in a fresh process in the checkout,
+    importing mflab from its src/ and reading no MFL_CACHE_DIR."""
+    env = {k: v for k, v in os.environ.items() if k != "MFL_CACHE_DIR"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    t = time.perf_counter()
+    subprocess.run([sys.executable, *args], cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                   check=True)
+    return time.perf_counter() - t
+
+
+def time_experiment(checkout: Path) -> float:
+    """Seconds of `mfl experiment --id mobius_exponential --n-grid 10000000`."""
+    return time_command(checkout, "-m", "mflab.cli", "experiment", "--id", "mobius_exponential",
+                        "--n-grid", str(10**7))
+
+
+def time_battery(checkout: Path) -> float:
+    """Seconds of scripts/decay_battery.py, its reports written to a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return time_command(checkout, "scripts/decay_battery.py", "--out", tmp)
+
+
 def code_state(checkout: Path) -> dict:
     """The checkout's commit, whether tracked files differ from it, and a
     sha256 of src/ that names the measured code even when they do."""
@@ -135,8 +164,9 @@ def main() -> int:
     records = {tag: {"tag": tag, **code_state(path),
                      "seeds": list(SEEDS), "seconds": RUN_SECONDS,
                      "runs": [], "metrics": {},
-                     "layers": {"sieve_1e8_s": {"unit": "s", "samples": []},
-                                "cache_read_1e7_s": {"unit": "s", "samples": []}}}
+                     "layers": {name: {"unit": "s", "samples": []}
+                                for name in ("sieve_1e8_s", "cache_read_1e7_s",
+                                             "experiment_1e7_s", "decay_battery_s")}}
                for tag, path in checkouts.items()}
     order = list(checkouts)
     for r, seed in enumerate(SEEDS):
@@ -166,6 +196,11 @@ def main() -> int:
             seconds = time_cache_read(checkouts[tag])
             layers["cache_read_1e7_s"]["samples"].append(seconds)
             print(f"round {r} {tag} read_cache 1e7: {seconds:.4f} s", flush=True)
+            for name, timer in (("experiment_1e7_s", time_experiment),
+                                ("decay_battery_s", time_battery)):
+                seconds = timer(checkouts[tag])
+                layers[name]["samples"].append(seconds)
+                print(f"round {r} {tag} {name}: {seconds:.3f} s", flush=True)
 
     out_dir = Path(args.out_dir)
     for tag, rec in records.items():

@@ -5,6 +5,10 @@ Use this after an intentional change to the summation pipeline.  The exact
 rational magnitudes (two-point and squarefree runs) are frozen with zero
 tolerance; the exponential-sum magnitude goes through libm so it keeps a
 1e-9 cushion.  Review the diff before committing a regenerated file.
+Exit code 2 means the config could not be read or validated, or an
+experiment needs a window past the limit (set allow_large in the config to
+raise it); 3 means a cache file is malformed or corrupt.  Nothing is
+written unless every experiment ran.
 """
 
 import argparse
@@ -13,7 +17,7 @@ import sys
 from pathlib import Path
 
 from mflab.config import EXIT_CACHE, EXIT_CONFIG, load_config
-from mflab.errors import CacheChecksumError, CacheFormatError, ConfigError
+from mflab.errors import CacheChecksumError, CacheFormatError, ConfigError, WindowLimitError
 from mflab.experiments import load_caches, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
@@ -42,7 +46,12 @@ def main() -> int:
             return EXIT_CACHE
     goldens = {}
     for spec in config.experiments:
-        report = run_experiment(spec.id, spec.params, spec.n_grid)
+        try:
+            report = run_experiment(spec.id, spec.params, spec.n_grid,
+                                    allow_large=config.allow_large)
+        except WindowLimitError as exc:
+            print(f"config error: experiment {spec.name!r}: {exc}")
+            return EXIT_CONFIG
         goldens[spec.name] = {
             "final_abs": report.indicators["final_abs"],
             "tol": 0.0 if spec.id in EXACT_IDS else 1e-9,

@@ -5,8 +5,14 @@ experiment, cache-verify.  Exit codes follow the batch runner convention:
 0 success, 1 tolerance failure, 2 unusable configuration or arguments,
 3 corrupt sieve cache.
 
-experiment first loads every cache file in MFL_CACHE_DIR, when set (see
-load_caches).  Angles take radians via --theta, or turns via --theta-over-2pi.
+The commands that read sign windows (correlate, spectrum, mirsky and
+experiment) first load every cache file in MFL_CACHE_DIR, when set (see
+load_caches), and read their windows through experiments.sign_window, so
+a window longer than experiments.WINDOW_LIMIT exits 2 before anything is
+sieved; only a batch config's allow_large raises that limit.  A batch
+config's own cache_dir takes the place of MFL_CACHE_DIR.  sieve writes
+[lo, hi) directly.  Angles take radians via --theta, or turns via
+--theta-over-2pi.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import sys
 from . import cache as cache_io
 from .config import EXIT_CACHE, EXIT_CONFIG, load_config, run
 from .errors import CacheChecksumError, CacheFormatError, ConfigError
-from .experiments import EXPERIMENTS, load_caches, run_experiment
+from .experiments import EXPERIMENTS, load_caches, run_experiment, sign_window
 from .measures import affinity, hellinger, read_json, write_json
 from .sequences import BoundedSeq, correlation_table
 from .sieve import LABELS, sieve
@@ -90,6 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_env_caches() -> None:
+    cache_dir = os.environ.get("MFL_CACHE_DIR")
+    if cache_dir is not None:
+        load_caches(cache_dir)
+
+
+def _window(label: str, hi: int) -> BoundedSeq:
+    """Values of label for n = 1..hi from the window store, once MFL_CACHE_DIR is loaded."""
+    _load_env_caches()
+    return BoundedSeq.from_samples(sign_window(label, hi), label=label, sup_bound=1.0)
+
+
 def _cmd_sieve(args: argparse.Namespace) -> int:
     seq = sieve(args.label, args.lo, args.hi)
     cache_io.write_cache(args.out, seq)
@@ -98,18 +116,14 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    window = sieve(args.label, 1, args.n + args.kmax + 1)
-    g = BoundedSeq.from_samples(window.values, label=args.label, sup_bound=1.0)
-    table = correlation_table(g, args.n, args.kmax)
+    table = correlation_table(_window(args.label, args.n + args.kmax), args.n, args.kmax)
     table.write_csv(args.out)
     print(f"wrote {args.out}: F_N(k) for k = 0..{args.kmax} at N = {args.n}")
     return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    window = sieve(args.label, 1, args.n + 1)
-    g = BoundedSeq.from_samples(window.values, label=args.label, sup_bound=1.0)
-    gram = periodogram(g, args.n, bins=args.bins)
+    gram = periodogram(_window(args.label, args.n), args.n, bins=args.bins)
     write_json(gram.measure, args.out)
     print(f"wrote {args.out}: size-{args.n} periodogram on {gram.measure.bins} bins")
     return 0
@@ -131,6 +145,7 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
 
 
 def _cmd_mirsky(args: argparse.Namespace) -> int:
+    _load_env_caches()
     result = mirsky_cylinder_density(args.ones, args.zeros, args.n)
     print(f"product_estimate {result.product_estimate!r}")
     print(f"empirical {result.empirical!r}")
@@ -145,7 +160,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.config is not None:
         cfg = load_config(args.config)
         if cfg.cache_dir is None:
-            cfg.cache_dir = os.environ.get("MFL_CACHE_DIR")
+            _load_env_caches()
         return run(cfg)
 
     params: dict = {}
@@ -163,9 +178,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         params["theta"] = args.theta
     if args.theta_over_2pi is not None:
         params["theta_over_2pi"] = args.theta_over_2pi
-    cache_dir = os.environ.get("MFL_CACHE_DIR")
-    if cache_dir is not None:
-        load_caches(cache_dir)
+    _load_env_caches()
     report = run_experiment(args.id, params, args.n_grid)
     if args.out:
         report.write(args.out)

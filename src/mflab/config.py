@@ -14,13 +14,20 @@ Config schema (all paths relative to the invoking directory):
     }
 
 Exit code semantics of run(): 0 all good, 1 a golden comparison failed,
-2 the config did not parse or validate, 3 a *.bin file in cache_dir is
-malformed or corrupt.  Window lengths above 1e7 are refused unless
-allow_large is set: an n_grid entry above LARGE_N_LIMIT, and a param that
-widens the window past N by more than that (h, H, h*k or the largest
-shift).  Keys other than the ones above, params the experiment
-does not accept and missing params it requires are refused too, so a
-misspelled key cannot silently change a run.
+2 the config did not parse or validate, or an experiment needs a window
+longer than the limit, 3 a *.bin file in cache_dir is malformed or corrupt.
+Keys other than the ones above, params the experiment does not accept and
+missing params it requires are refused, so a misspelled key cannot
+silently change a run.
+
+The window limit applies to the real window an experiment reads, which
+starts at n = 1 and ends at N plus its reach (N + h for two_point, 2N + H
+for short_interval): no window grows past experiments.WINDOW_LIMIT
+(2**25 indices) unless allow_large is set, which raises the limit to a
+sixth of the physical memory.  The check is made by the window store when
+a window must grow, before anything is sieved, so a batch stops with
+exit 2 at the first entry whose window would pass the limit; the reports
+of the entries before it stay written.
 
 Values are typed as in JSON: output_dir is a string, cache_dir and
 golden_file a string or null, allow_large true or false, n_grid a list of
@@ -30,9 +37,9 @@ must be JSON integers, so 1.5 and true are refused rather than truncated;
 number params (theta, theta_over_2pi, alpha, delta, poly terms) must be
 finite numbers, not strings, booleans or null.  h, H, k >= 1,
 0 < delta < 1, and squarefree_shifts shifts are a list of integers >= 1.
-parse_config builds every entry before returning, so a bad value anywhere
-in the batch exits 2 before any cache is loaded, any window sieved or any
-report written.
+parse_config and run check every entry before any cache is loaded, any
+window sieved or any report written, so a bad value anywhere in the batch
+exits 2 first, also in a RunConfig built by hand.
 
 A golden file maps experiment names to expected indicator values:
 
@@ -50,14 +57,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .cache import read_cache  # unused; kept for perfbench/spans.py, which wraps it by name
-from .errors import CacheChecksumError, CacheFormatError, ConfigError
-from .experiments import (
-    DEFAULT_GRID,
-    LARGE_N_LIMIT,
-    build_experiment,
-    load_caches,
-    run_experiment,
-)
+from .errors import CacheChecksumError, CacheFormatError, ConfigError, WindowLimitError
+from .experiments import DEFAULT_GRID, build_experiment, load_caches, run_experiment
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -88,20 +89,29 @@ def _reject_unknown_keys(obj: dict, known: type, where: str) -> None:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
 
 
-def _check_params(exp_id, name: str, params: dict) -> None:
-    """Build one entry's params (see build_experiment); ConfigError if they are bad."""
-    try:
-        build_experiment(exp_id, params)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for float
-        raise ConfigError(f"experiment {name!r}: {exc}") from exc
-
-
-def _reach(params: dict) -> int:
-    """How far past N an entry's window reaches: its largest h, H, h*k or shift."""
-    reach = [params.get("h", 0), params.get("H", 0), *params.get("shifts", ())]
-    if "k" in params:
-        reach.append(params["h"] * params["k"])
-    return max(reach)
+def _check_specs(specs: list[ExperimentSpec]) -> None:
+    """ConfigError unless each entry has a plain file name no other entry
+    has, params that build (see build_experiment) and an n_grid that is a
+    non-empty list of integers >= 1."""
+    seen: set[str] = set()
+    for spec in specs:
+        name = spec.name
+        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+            raise ConfigError(f"experiment name {name!r} must be a plain file name")
+        if name in seen:
+            raise ConfigError(f"duplicate experiment name {name!r}")
+        seen.add(name)
+        if not isinstance(spec.params, dict):
+            raise ConfigError(f"params of {name!r} must be an object")
+        try:
+            build_experiment(spec.id, spec.params)
+        except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for float
+            raise ConfigError(f"experiment {name!r}: {exc}") from exc
+        grid = spec.n_grid
+        if (not isinstance(grid, list) or not grid
+                or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                           for n in grid)):
+            raise ConfigError(f"n_grid of {name!r} must be a list of positive integers")
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -110,9 +120,9 @@ def parse_config(obj: dict) -> RunConfig:
     The keys of the root and of each experiment entry are the fields of
     RunConfig and ExperimentSpec; any other key, any param the experiment
     does not accept and any it requires but lacks, is refused rather than
-    ignored.  Every entry's params are built (see build_experiment) here,
-    so a bad value is refused before run touches a cache, a window or a
-    report.
+    ignored.  Every entry is checked here as run checks it (names, params
+    built by build_experiment, n_grid), so a bad value is refused before
+    run touches a cache, a window or a report.
     """
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
@@ -120,52 +130,21 @@ def parse_config(obj: dict) -> RunConfig:
     raw = obj.get("experiments")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("config needs a non-empty 'experiments' list")
-    allow_large = obj.get("allow_large", False)
-    if not isinstance(allow_large, bool):
-        raise ConfigError(f"allow_large must be true or false, got {allow_large!r}")
-    output_dir = obj.get("output_dir", "reports")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
-    for key in ("cache_dir", "golden_file"):
-        if not isinstance(obj.get(key), (str, type(None))):
-            raise ConfigError(f"{key} must be a string or null, got {obj[key]!r}")
+    for key, kinds, what in (("allow_large", bool, "true or false"),
+                             ("output_dir", str, "a string"),
+                             ("cache_dir", (str, type(None)), "a string or null"),
+                             ("golden_file", (str, type(None)), "a string or null")):
+        if key in obj and not isinstance(obj[key], kinds):
+            raise ConfigError(f"{key} must be {what}, got {obj[key]!r}")
     specs: list[ExperimentSpec] = []
-    seen: set[str] = set()
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"experiment #{i} must be an object with an 'id'")
-        exp_id = entry["id"]
         _reject_unknown_keys(entry, ExperimentSpec, f"experiment #{i}")
-        name = entry.get("name", exp_id)
-        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
-            raise ConfigError(f"name {name!r} of experiment #{i} must be a plain file name")
-        if name in seen:
-            raise ConfigError(f"duplicate experiment name {name!r}")
-        seen.add(name)
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"params of {name!r} must be an object")
-        _check_params(exp_id, name, params)
-        grid = entry.get("n_grid", list(DEFAULT_GRID))
-        if (not isinstance(grid, list) or not grid
-                or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                           for n in grid)):
-            raise ConfigError(f"n_grid of {name!r} must be a list of positive integers")
-        if max(grid) > LARGE_N_LIMIT and not allow_large:
-            raise ConfigError(
-                f"n_grid of {name!r} exceeds {LARGE_N_LIMIT}; set allow_large to opt in")
-        reach = _reach(params)
-        if reach > LARGE_N_LIMIT and not allow_large:
-            raise ConfigError(f"params of {name!r} reach {reach} indices past N, "
-                              f"above {LARGE_N_LIMIT}; set allow_large to opt in")
-        specs.append(ExperimentSpec(exp_id, name, params, sorted(grid)))
-    return RunConfig(
-        experiments=specs,
-        output_dir=output_dir,
-        cache_dir=obj.get("cache_dir"),
-        allow_large=allow_large,
-        golden_file=obj.get("golden_file"),
-    )
+        specs.append(ExperimentSpec(**{"name": entry["id"], **entry}))
+    _check_specs(specs)
+    # every key is now a RunConfig field of the right type; absent ones take its defaults
+    return RunConfig(**{**obj, "experiments": specs})
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -200,13 +179,14 @@ def _compare_golden(report, golden: dict) -> list[str]:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a batch: build every entry's params first (EXIT_CONFIG if one
-    is bad, as a RunConfig built by hand has not been through parse_config),
-    then load every cache in cache_dir (EXIT_CACHE if one is bad), then write
-    one report per experiment and compare goldens."""
+    """Execute a batch: check every entry first (EXIT_CONFIG if one is bad,
+    as a RunConfig built by hand has not been through parse_config), then
+    load every cache in cache_dir (EXIT_CACHE if one is bad), then write one
+    report per experiment and compare goldens.  An experiment whose window
+    would pass the window limit (see the module docstring) stops the batch
+    with EXIT_CONFIG; the reports written before it stay."""
     try:
-        for spec in config.experiments:
-            _check_params(spec.id, spec.name, spec.params)
+        _check_specs(config.experiments)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
@@ -230,7 +210,12 @@ def run(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
     for spec in config.experiments:
-        report = run_experiment(spec.id, spec.params, spec.n_grid)
+        try:
+            report = run_experiment(spec.id, spec.params, spec.n_grid,
+                                    allow_large=config.allow_large)
+        except WindowLimitError as exc:
+            print(f"config error: experiment {spec.name!r}: {exc}")
+            return EXIT_CONFIG
         report.write(out_dir / f"{spec.name}.json")
         for problem in _compare_golden(report, goldens.get(spec.name, {})):
             failures.append(f"{spec.name}: {problem}")

@@ -73,3 +73,7 @@ class CacheChecksumError(ValueError):
 
 class ConfigError(ValueError):
     """Batch run configuration that fails validation."""
+
+
+class WindowLimitError(ValueError):
+    """Sign window that would grow past the window store's length limit."""

@@ -37,6 +37,7 @@ from .errors import (
     WindowTooLongError,
     ZeroSetTooLargeError,
 )
+from .experiments import sign_window
 from .sieve import factor_oracle, primes_upto
 
 MIRSKY_PRIME_BOUND = 10**4
@@ -172,7 +173,8 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
     The product estimate truncates at prime_bound and handles the zero set
     by inclusion-exclusion over its subsets (capped at 20 shifts).  The
     empirical frequency counts matches among n = 1..n_check against a
-    square-free indicator window, which is sieved on demand when not given.
+    square-free indicator window, read through experiments.sign_window when
+    not given (so the window limit and loaded caches apply).
 
     Args:
         ones: shifts required square-free.
@@ -204,9 +206,7 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
 
     reach = max(ones + zeros, default=0)
     if squarefree_window is None:
-        from .sieve import sieve
-
-        squarefree_window = sieve("squarefree", 1, n_check + reach + 1).values
+        squarefree_window = sign_window("squarefree", n_check + reach)
     if len(squarefree_window) < n_check + reach:
         raise WindowTooLongError("square-free window shorter than n_check plus max shift")
     mask = np.ones(n_check, dtype=bool)

@@ -9,10 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+import mflab.experiments as ex
 from mflab.cache import read_cache, write_cache
 from mflab.cli import main
+from mflab.experiments import WindowStore
 from mflab.measures import TorusMeasure, write_json
-from mflab.sieve import sieve
+from mflab.sieve import LABELS, sieve
 
 
 def test_sieve_roundtrip(tmp_path, capsys):
@@ -282,6 +284,48 @@ def test_env_cache_dir_unusable_exits_three(tmp_path, capsys, monkeypatch, fresh
     assert "cache error" in out and named in out
     assert sieve_calls == []
     assert not out_path.exists()
+
+
+def test_env_cache_dir_serves_every_window_command(tmp_path, capsys, monkeypatch,
+                                                   fresh_windows, sieve_calls):
+    cache_dir = tmp_path / "caches"
+    cache_dir.mkdir()
+    for label in LABELS:
+        write_cache(cache_dir / f"{label}.bin", sieve(label, 1, 3001))
+
+    def outputs(tag):
+        table, spectrum = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        assert main(["correlate", "--label", "liouville", "--n", "2000", "--kmax", "8",
+                     "--out", str(table)]) == 0
+        assert main(["spectrum", "--label", "mobius", "--n", "2048", "--out", str(spectrum)]) == 0
+        assert main(["mirsky", "--ones", "0,1", "--zeros", "2", "--n", "2990"]) == 0
+        capsys.readouterr()
+        return table.read_bytes(), spectrum.read_bytes()
+
+    monkeypatch.setenv("MFL_CACHE_DIR", str(cache_dir))
+    cached = outputs("cached")
+    assert sieve_calls == []
+    monkeypatch.delenv("MFL_CACHE_DIR")
+    monkeypatch.setattr(ex, "WINDOWS", WindowStore())
+    assert outputs("sieved") == cached
+    assert len(sieve_calls) == 1
+
+
+@pytest.mark.parametrize("args", [
+    # two_point at N = 1e9 reads a liouville window of 1e9 + 1 indices, about
+    # 3 GB of int8 over the three labels
+    ["experiment", "--id", "two_point", "--param", "h=1", "--n-grid", "1000000000"],
+    ["correlate", "--label", "liouville", "--n", "1000000000", "--kmax", "4", "--out", "t.csv"],
+    ["spectrum", "--label", "mobius", "--n", "1000000000", "--out", "s.json"],
+    ["mirsky", "--ones", "0", "--n", "1000000000"],
+])
+def test_window_commands_share_the_window_limit(args, tmp_path, monkeypatch, capsys,
+                                                fresh_windows, sieve_calls):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    assert "allow_large" in capsys.readouterr().out
+    assert sieve_calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_arguments_exit_two(capsys):

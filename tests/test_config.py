@@ -19,9 +19,11 @@ from mflab.config import (
     parse_config,
     run,
 )
+from mflab.cli import main
 from mflab.errors import ConfigError
 import mflab.experiments as ex
-from mflab.experiments import run_experiment, sign_window, two_point_correlation
+from mflab.experiments import WindowStore, run_experiment, sign_window, two_point_correlation
+from mflab.sieve import SEGMENT
 
 
 def _write_json(path, obj):
@@ -90,32 +92,79 @@ def test_parse_config_rejections():
             parse_config({"experiments": [{**tp, "name": name}]})
 
 
-def test_parse_config_large_n_gate():
+def _assert_gated(entry, tmp_path, capsys, sieve_calls):
+    """The entry exits 2 naming allow_large, through config.run on a RunConfig
+    built by hand and through mfl experiment --config, with no sieve pass and
+    no report."""
+    out = tmp_path / "out"
+    spec = ExperimentSpec(entry["id"], "big", entry["params"], entry["n_grid"])
+    assert run(RunConfig([spec], output_dir=str(out))) == EXIT_CONFIG
+    config = _write_json(tmp_path / "big.json", {
+        "experiments": [{**entry, "name": "big"}], "output_dir": str(out)})
+    assert main(["experiment", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().out.count("allow_large") == 2
+    assert sieve_calls == []
+    assert not (out / "big.json").exists()
+
+
+def test_large_n_grid_is_gated(tmp_path, capsys, fresh_windows, sieve_calls):
     entry = {"id": "two_point", "params": {"h": 1}, "n_grid": [10**8]}
-    with pytest.raises(ConfigError):
-        parse_config({"experiments": [entry]})
-    cfg = parse_config({"experiments": [entry], "allow_large": True})
-    assert cfg.experiments[0].n_grid == [10**8]
+    _assert_gated(entry, tmp_path, capsys, sieve_calls)
 
 
 @pytest.mark.parametrize("entry", [
     {"id": "two_point", "params": {"h": 10**9}},
-    {"id": "small_fraction", "params": {"H": 10**7 + 1, "delta": 0.5}},
+    {"id": "small_fraction", "params": {"H": 10**8, "delta": 0.5}},
     {"id": "short_interval", "params": {"H": 10**8}},
     {"id": "window_energy", "params": {"k": 10**4, "h": 10**4}},
     {"id": "squarefree_shifts", "params": {"shifts": [1, 10**8]}},
     {"id": "pattern", "params": {"shifts": [0, 10**8], "exponents": [1, 1]}},
 ])
-def test_params_that_widen_the_window_are_gated(entry):
-    # n_grid [100] is small, but each entry reaches more than 1e7 indices past N
-    entry = {**entry, "n_grid": [100]}
-    with pytest.raises(ConfigError, match="allow_large"):
-        parse_config({"experiments": [entry]})
-    cfg = parse_config({"experiments": [entry], "allow_large": True})
-    assert cfg.experiments[0].params == entry["params"]
-    # at the limit itself the entry parses without the opt-in
-    at_limit = {"id": "two_point", "params": {"h": 10**7}, "n_grid": [100]}
-    assert parse_config({"experiments": [at_limit]}).experiments[0].params == {"h": 10**7}
+def test_params_that_widen_the_window_are_gated(entry, tmp_path, capsys, fresh_windows,
+                                                sieve_calls):
+    # n_grid [100] is small, but each entry's window ends past WINDOW_LIMIT
+    _assert_gated({**entry, "n_grid": [100]}, tmp_path, capsys, sieve_calls)
+
+
+def test_batch_stops_at_the_first_window_past_the_limit(tmp_path, capsys, fresh_windows):
+    cfg = RunConfig(
+        experiments=[ExperimentSpec("two_point", "tp", {"h": 1}, [100]),
+                     ExperimentSpec("two_point", "big", {"h": 10**9}, [100]),
+                     ExperimentSpec("two_point", "after", {"h": 2}, [100])],
+        output_dir=str(tmp_path / "out"),
+    )
+    assert run(cfg) == EXIT_CONFIG
+    assert "config error: experiment 'big'" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["tp.json"]
+
+
+def test_allow_large_raises_the_limit_for_its_batch_only(tmp_path, monkeypatch, sieve_calls):
+    store = WindowStore(limit=SEGMENT)
+    monkeypatch.setattr(ex, "WINDOWS", store)
+    # h = 1 at N = SEGMENT reads SEGMENT + 1 indices, one past the limit
+    cfg = RunConfig(experiments=[ExperimentSpec("two_point", "tp", {"h": 1}, [SEGMENT])],
+                    output_dir=str(tmp_path / "out"))
+    assert run(cfg) == EXIT_CONFIG
+    assert sieve_calls == []
+    cfg.allow_large = True
+    assert run(cfg) == EXIT_OK
+    assert store.limit == SEGMENT
+    report = json.loads((tmp_path / "out" / "tp.json").read_text())
+    lam = sign_window("liouville", SEGMENT + 1)
+    expected = abs(int(np.sum(lam[:-1] * lam[1:], dtype=np.int64))) / SEGMENT
+    assert report["grid"][0]["value_re"] == expected
+
+    # restored also when the experiment raises; the raised limit was in force
+    seen = []
+
+    def failing(h, X):
+        seen.append(ex.WINDOWS.limit)
+        raise RuntimeError("experiment failed")
+
+    monkeypatch.setattr(ex, "two_point_correlation", failing)
+    with pytest.raises(RuntimeError):
+        run(cfg)
+    assert seen[0] > SEGMENT and store.limit == SEGMENT
 
 
 def test_checked_in_batches_parse_without_allow_large():
@@ -237,6 +286,21 @@ def test_run_refuses_unusable_cache_dir(tmp_path, unusable_cache_dir, fresh_wind
     assert [call[0] for call in sieve_calls] == ["mobius"]
 
 
+@pytest.mark.parametrize("name, grid", [
+    ("../escaped", [100]), ("sub/tp", [100]), ("tp", [0]), ("tp", [100, True]), ("tp", [1.5]),
+    ("tp", []), ("tp", 100),
+])
+def test_run_checks_names_and_grids_of_a_hand_built_config(name, grid, tmp_path, fresh_windows,
+                                                           sieve_calls, capsys):
+    out = tmp_path / "out"
+    cfg = RunConfig(experiments=[ExperimentSpec("two_point", name, {"h": 1}, grid)],
+                    output_dir=str(out))
+    assert run(cfg) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().out
+    assert sieve_calls == []
+    assert not out.exists() and not (tmp_path / "escaped.json").exists()
+
+
 def test_run_checks_every_spec_before_any_work(tmp_path, fresh_windows, sieve_calls, capsys):
     # a RunConfig built by hand, so parse_config never saw the bad second entry
     cfg = RunConfig(
@@ -284,6 +348,19 @@ def test_scripts_exit_two_on_config_error(script, tmp_path, monkeypatch, capsys,
     assert "config error" in capsys.readouterr().out
     assert sieve_calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("script", ["decay_battery.py", "freeze_goldens.py"])
+def test_scripts_exit_two_on_a_window_past_the_limit(script, tmp_path, monkeypatch, capsys,
+                                                     fresh_windows, sieve_calls):
+    config = _write_json(tmp_path / "battery.json", {
+        "experiments": [{"id": "two_point", "params": {"h": 10**9}, "n_grid": [100]}]})
+    out = tmp_path / "out"
+    code = _run_script(script, monkeypatch, "--config", str(config), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "allow_large" in capsys.readouterr().out
+    assert sieve_calls == []
+    assert not out.is_file() and list(out.glob("*")) == []
 
 
 def test_freeze_goldens_refuses_missing_cache_dir(tmp_path, monkeypatch, capsys, sieve_calls):

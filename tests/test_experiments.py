@@ -2,17 +2,20 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mflab.experiments as ex
 from mflab.cache import write_cache
-from mflab.errors import AllSquaredError, InvalidRangeError, NotDisjointError
+from mflab.errors import AllSquaredError, InvalidRangeError, NotDisjointError, WindowLimitError
 from mflab.experiments import (
     EXPERIMENTS,
     THETA_STAR,
+    WINDOW_LIMIT,
     Pattern,
+    WindowStore,
     input_checksum,
     load_caches,
     mobius_exponential_sum,
@@ -27,7 +30,7 @@ from mflab.experiments import (
     windowed_sum_energy,
 )
 from mflab.sequences import TrigPoly
-from mflab.sieve import SEGMENT, sieve
+from mflab.sieve import SEGMENT, SignSeq, sieve
 from mflab.summation import CHUNK
 
 TAU = 2.0 * math.pi
@@ -214,6 +217,36 @@ def test_sign_window_rejects_bad_requests(fresh_windows):
         sign_window("mobius", 0)
 
 
+def test_window_limit_boundary(sieve_calls):
+    store = WindowStore(limit=SEGMENT)
+    assert len(store.get("mobius", SEGMENT)) == SEGMENT
+    with pytest.raises(WindowLimitError, match="allow_large"):
+        store.get("liouville", SEGMENT + 1)
+    assert sieve_calls == [("mobius", 1, SEGMENT + 1)]
+    # a window already held is served past the limit; only growth is refused
+    store.adopt(SignSeq("squarefree", 1, sieve("squarefree", 1, SEGMENT + 11).values))
+    assert len(store.get("squarefree", SEGMENT + 10)) == SEGMENT + 10
+    with pytest.raises(WindowLimitError):
+        store.get("squarefree", SEGMENT + 11)
+    assert len(sieve_calls) == 1
+
+
+def test_library_window_past_the_limit_allocates_nothing(fresh_windows, monkeypatch):
+    def no_sieve(label, lo, hi, out=None):
+        raise AssertionError(f"sieved {label} on [{lo}, {hi})")
+
+    monkeypatch.setattr(ex, "sieve", no_sieve)
+    assert ex.WINDOWS.limit == WINDOW_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowLimitError, match="allow_large"):
+            sign_window("mobius", 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_sign_window_reads_cache(tmp_path, fresh_windows, sieve_calls):
     hi = 5000
     seq = sieve("mobius", 1, hi + 1)
@@ -271,6 +304,13 @@ def test_run_experiment_rejects_unknown_id():
 def test_run_experiment_rejects_unknown_params(exp_id, params, match):
     with pytest.raises(ValueError, match=match):
         run_experiment(exp_id, params, [100])
+
+
+@pytest.mark.parametrize("grid", [[1.5, True], [100, True], ["100"], [0], [100, -5], 100])
+def test_run_experiment_refuses_grids_that_are_not_positive_integers(grid, sieve_calls):
+    with pytest.raises(ValueError, match="'grid'"):
+        run_experiment("two_point", {"h": 1}, grid)
+    assert sieve_calls == []
 
 
 @pytest.mark.parametrize("poly", [
