@@ -5,16 +5,16 @@ Three correlation averages are pushed across N = 1e5, 1e6, 1e7: the Mobius
 exponential sum at the golden-ratio angle, the two-point Liouville
 correlation at shift 1, and the sign-weighted squarefree average for the
 shift pair {1, 2} at frequency zero.  Exit code 0 means every magnitude
-matched its golden record; 1 means a tolerance failed; 2 means the config
-or the golden file could not be read or validated; 3 means a cache file is
-malformed or corrupt.
+matched its golden record; 1 means a tolerance failed, and nothing else;
+2 means the config or the golden file could not be read or validated, or a
+path could not be written; 3 means a cache file is malformed or corrupt.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from mflab.config import EXIT_CONFIG, load_config, run
+from mflab.config import exit_code, load_config, run
 from mflab.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -31,8 +31,7 @@ def main() -> int:
     try:
         config = load_config(args.config)
     except ConfigError as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG
+        return exit_code(exc)
     if args.out is not None:
         config.output_dir = args.out
     if config.golden_file is not None and not Path(config.golden_file).is_absolute():

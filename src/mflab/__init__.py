@@ -43,7 +43,7 @@ from .sequences import (
     modulate,
     trig_approx,
 )
-from .sieve import PrimeBasis, SignSeq, factor_oracle, primes_upto, sieve
+from .sieve import PrimeBasis, SignSeq, factor_oracle, is_prime, primes_upto, sieve
 from .spectral import (
     Periodogram,
     coefficient_consistency,

@@ -2,8 +2,8 @@
 
 Subcommands: sieve, correlate, spectrum, affinity, admissible, mirsky,
 experiment, cache-verify.  Exit codes follow the batch runner convention:
-0 success, 1 tolerance failure, 2 unusable configuration or arguments,
-3 corrupt sieve cache.
+0 success, 1 tolerance failure, 2 unusable configuration, arguments or
+paths, 3 corrupt sieve cache.
 
 The commands that read sign windows (correlate, spectrum, mirsky and
 experiment) first load every cache file in MFL_CACHE_DIR, when set (see
@@ -11,8 +11,7 @@ load_caches), and read their windows through experiments.sign_window, so
 a window longer than experiments.WINDOW_LIMIT exits 2 before anything is
 sieved; only a batch config's allow_large raises that limit.  A batch
 config's own cache_dir takes the place of MFL_CACHE_DIR.  sieve writes
-[lo, hi) directly.  Angles take radians via --theta, or turns via
---theta-over-2pi.
+[lo, hi) directly.  Errors map to exit codes through config.exit_code.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ import os
 import sys
 
 from . import cache as cache_io
-from .config import EXIT_CACHE, EXIT_CONFIG, load_config, run
-from .errors import CacheChecksumError, CacheFormatError, ConfigError
+from .config import EXIT_CACHE, exit_code, load_config, run
 from .experiments import EXPERIMENTS, load_caches, run_experiment, sign_window
 from .measures import affinity, hellinger, read_json, write_json
 from .sequences import BoundedSeq, correlation_table
@@ -40,11 +38,14 @@ def _shift_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_theta_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--theta", type=float, default=None, help="angle in radians")
-    group.add_argument("--theta-over-2pi", type=float, default=None,
-                       help="angle as a multiple of 2*pi")
+def _param(text: str) -> tuple[str, object]:
+    key, sep, raw = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    try:
+        return key, json.loads(raw)
+    except json.JSONDecodeError:
+        return key, raw
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,42 +57,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_sieve)
 
     p = sub.add_parser("correlate", help="lag correlation table of a label window")
     p.add_argument("--label", choices=LABELS, required=True)
     p.add_argument("--n", type=int, required=True, help="window length N")
     p.add_argument("--kmax", type=int, required=True, help="largest lag K")
     p.add_argument("--out", required=True, help="CSV output path")
+    p.set_defaults(handler=_cmd_correlate)
 
     p = sub.add_parser("spectrum", help="periodogram of a label window as measure JSON")
     p.add_argument("--label", choices=LABELS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("affinity", help="affinity and Hellinger distance of two measures")
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
+    p.set_defaults(handler=_cmd_affinity)
 
     p = sub.add_parser("admissible", help="admissibility of a shift set")
     p.add_argument("--set", dest="shifts", type=_shift_list, required=True)
+    p.set_defaults(handler=_cmd_admissible)
 
     p = sub.add_parser("mirsky", help="cylinder density, product formula vs empirical")
     p.add_argument("--ones", type=_shift_list, required=True)
     p.add_argument("--zeros", type=_shift_list, default=[])
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(handler=_cmd_mirsky)
 
     p = sub.add_parser("experiment", help="run a batch config or a single experiment")
-    p.add_argument("--config", default=None, help="batch config JSON")
-    p.add_argument("--id", choices=EXPERIMENTS, default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--config", help="batch config JSON")
+    mode.add_argument("--id", choices=EXPERIMENTS)
     p.add_argument("--n-grid", type=_shift_list, default=None)
-    p.add_argument("--param", action="append", default=[],
+    p.add_argument("--param", type=_param, action="append", default=[],
                    metavar="KEY=JSON", help="experiment parameter, repeatable")
-    _add_theta_options(p)
     p.add_argument("--out", default=None, help="report path for a single run")
+    p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("cache-verify", help="validate a sieve cache file")
     p.add_argument("path")
+    p.set_defaults(handler=_cmd_cache_verify)
 
     return parser
 
@@ -154,72 +163,38 @@ def _cmd_mirsky(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if (args.config is None) == (args.id is None):
-        print("experiment needs exactly one of --config or --id")
-        return EXIT_CONFIG
     if args.config is not None:
         cfg = load_config(args.config)
         if cfg.cache_dir is None:
             _load_env_caches()
         return run(cfg)
 
-    params: dict = {}
-    for item in args.param:
-        key, sep, raw = item.partition("=")
-        if not sep:
-            print(f"--param needs KEY=VALUE, got {item!r}")
-            return EXIT_CONFIG
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    # passed through as given; run_experiment converts turns to radians
-    if args.theta is not None:
-        params["theta"] = args.theta
-    if args.theta_over_2pi is not None:
-        params["theta_over_2pi"] = args.theta_over_2pi
     _load_env_caches()
-    report = run_experiment(args.id, params, args.n_grid)
+    report = run_experiment(args.id, dict(args.param), args.n_grid)
     if args.out:
         report.write(args.out)
-    blob = report.to_dict()
-    print(json.dumps(blob, sort_keys=True, indent=1))
+    print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
     return 0
 
 
+def _cmd_cache_verify(args: argparse.Namespace) -> int:
+    if cache_io.cache_verify(args.path):
+        print("valid")
+        return 0
+    print("corrupt")
+    return EXIT_CACHE
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad arguments, which matches the config code
         return int(exc.code or 0)
-    handlers = {
-        "sieve": _cmd_sieve,
-        "correlate": _cmd_correlate,
-        "spectrum": _cmd_spectrum,
-        "affinity": _cmd_affinity,
-        "admissible": _cmd_admissible,
-        "mirsky": _cmd_mirsky,
-        "experiment": _cmd_experiment,
-    }
     try:
-        if args.command == "cache-verify":
-            if cache_io.cache_verify(args.path):
-                print("valid")
-                return 0
-            print("corrupt")
-            return EXIT_CACHE
-        return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG
-    except (CacheFormatError, CacheChecksumError) as exc:
-        print(f"cache error: {exc}")
-        return EXIT_CACHE
+        return args.handler(args)
     except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}")
-        return EXIT_CONFIG
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -13,9 +13,12 @@ Config schema (all paths relative to the invoking directory):
       "golden_file": "goldens/decay_battery.json"
     }
 
-Exit code semantics of run(): 0 all good, 1 a golden comparison failed,
-2 the config did not parse or validate, or an experiment needs a window
-longer than the limit, 3 a *.bin file in cache_dir is malformed or corrupt.
+Exit code semantics of run(): 0 all good, 1 a golden comparison failed
+and nothing else, 2 the config or the golden file did not parse or
+validate, an experiment needs a window longer than the limit, or a path
+could not be read or written, 3 a *.bin file in cache_dir is malformed or
+corrupt.  exit_code is the one map from an error to 2 or 3; the mfl
+command and the scripts use it too.
 Keys other than the ones above, params the experiment does not accept and
 missing params it requires are refused, so a misspelled key cannot
 silently change a run.
@@ -48,11 +51,14 @@ A golden file maps experiment names to expected indicator values:
 final_abs is compared within tol; require_decreasing checks strict grid-wise
 decay, require_endpoint_decay only compares the last magnitude against the
 first, and max_final_abs is an absolute ceiling on the final magnitude.
+It is checked as strictly as the config, before any cache is loaded: an
+object of objects with only these five keys, finite numbers and booleans.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -147,16 +153,37 @@ def parse_config(obj: dict) -> RunConfig:
     return RunConfig(**{**obj, "experiments": specs})
 
 
+def _read_json(path: str | Path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
 def load_config(path: str | Path) -> RunConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(obj)
+    return parse_config(_read_json(path, "config"))
+
+
+_GOLDEN_KEYS = {"final_abs": float, "tol": float, "max_final_abs": float,
+                "require_decreasing": bool, "require_endpoint_decay": bool}
+
+
+def _load_goldens(path: str | Path) -> dict:
+    """The golden file at path, checked as the module docstring says; ConfigError if not."""
+    goldens = _read_json(path, "golden file")
+    if not isinstance(goldens, dict) or not all(isinstance(g, dict) for g in goldens.values()):
+        raise ConfigError("golden file must map experiment names to objects")
+    for name, golden in goldens.items():
+        for key, value in golden.items():
+            kind = _GOLDEN_KEYS.get(key)
+            if kind is None:
+                raise ConfigError(f"unknown key {key!r} in golden {name!r}")
+            if kind is bool and not isinstance(value, bool):
+                raise ConfigError(f"golden {name!r}: {key} must be true or false, got {value!r}")
+            if kind is float and (not isinstance(value, (int, float)) or isinstance(value, bool)
+                                  or not math.isfinite(value)):
+                raise ConfigError(f"golden {name!r}: {key} must be a finite number, got {value!r}")
+    return goldens
 
 
 def _compare_golden(report, golden: dict) -> list[str]:
@@ -178,47 +205,43 @@ def _compare_golden(report, golden: dict) -> list[str]:
     return failures
 
 
-def run(config: RunConfig) -> int:
-    """Execute a batch: check every entry first (EXIT_CONFIG if one is bad,
-    as a RunConfig built by hand has not been through parse_config), then
-    load every cache in cache_dir (EXIT_CACHE if one is bad), then write one
-    report per experiment and compare goldens.  An experiment whose window
-    would pass the window limit (see the module docstring) stops the batch
-    with EXIT_CONFIG; the reports written before it stay."""
-    try:
-        _check_specs(config.experiments)
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return EXIT_CONFIG
-
-    try:
-        if config.cache_dir is not None:
-            load_caches(config.cache_dir)
-    except (CacheFormatError, CacheChecksumError) as exc:
+def exit_code(exc: Exception) -> int:
+    """Print the one-line message for an error that refused a run and
+    return its exit code: EXIT_CACHE for a malformed or corrupt cache,
+    EXIT_CONFIG for any other ValueError, OverflowError or OSError."""
+    if isinstance(exc, (CacheFormatError, CacheChecksumError)):
         print(f"cache error: {exc}")
         return EXIT_CACHE
+    print(f"{'config error' if isinstance(exc, ConfigError) else 'error'}: {exc}")
+    return EXIT_CONFIG
 
-    goldens = {}
-    if config.golden_file is not None:
-        try:
-            goldens = json.loads(Path(config.golden_file).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: cannot read golden file: {exc}")
-            return EXIT_CONFIG
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    failures: list[str] = []
-    for spec in config.experiments:
-        try:
-            report = run_experiment(spec.id, spec.params, spec.n_grid,
-                                    allow_large=config.allow_large)
-        except WindowLimitError as exc:
-            print(f"config error: experiment {spec.name!r}: {exc}")
-            return EXIT_CONFIG
-        report.write(out_dir / f"{spec.name}.json")
-        for problem in _compare_golden(report, goldens.get(spec.name, {})):
-            failures.append(f"{spec.name}: {problem}")
+def run(config: RunConfig) -> int:
+    """Execute a batch: check every entry (a RunConfig built by hand has
+    not been through parse_config) and the golden file, then load every
+    cache in cache_dir, then write one report per experiment and compare
+    goldens.  An error stops the batch with the code exit_code gives it;
+    an experiment whose window would pass the window limit (see the module
+    docstring) is a config error.  Reports written before an error stay."""
+    try:
+        _check_specs(config.experiments)
+        goldens = {} if config.golden_file is None else _load_goldens(config.golden_file)
+        if config.cache_dir is not None:
+            load_caches(config.cache_dir)
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        failures: list[str] = []
+        for spec in config.experiments:
+            try:
+                report = run_experiment(spec.id, spec.params, spec.n_grid,
+                                        allow_large=config.allow_large)
+            except WindowLimitError as exc:
+                raise ConfigError(f"experiment {spec.name!r}: {exc}") from exc
+            report.write(out_dir / f"{spec.name}.json")
+            for problem in _compare_golden(report, goldens.get(spec.name, {})):
+                failures.append(f"{spec.name}: {problem}")
+    except (ValueError, OverflowError, OSError) as exc:
+        return exit_code(exc)
     for line in failures:
         print(f"tolerance failure: {line}")
     return EXIT_TOLERANCE if failures else EXIT_OK

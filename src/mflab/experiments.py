@@ -506,8 +506,9 @@ def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None, *,
 
     The params are built once (see build_experiment), so unknown ids,
     unknown or missing params and bad values raise ValueError before any
-    window is read; so does a grid entry that is not an integer >= 1.  A
-    window longer than the store's limit raises WindowLimitError.
+    window is read; so do an empty grid and a grid entry that is not an
+    integer >= 1 (only grid=None selects DEFAULT_GRID).  A window longer
+    than the store's limit raises WindowLimitError.
     allow_large raises that limit, for this call only, to a sixth of the
     physical memory: three int8 labels, with the old and the grown arrays
     held together while a window grows.  The report carries the params
@@ -515,7 +516,9 @@ def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None, *,
     sorted grid.
     """
     run = build_experiment(exp_id, params)
-    grid = sorted(_integers("grid", grid or DEFAULT_GRID))
+    grid = sorted(_integers("grid", DEFAULT_GRID if grid is None else grid))
+    if not grid:
+        raise ValueError("param 'grid' must hold at least one N")
     params = dict(params)
     checksum = input_checksum(exp_id, params, grid)
     store, limit = WINDOWS, WINDOWS.limit  # looked up per call, so a swapped-in store applies

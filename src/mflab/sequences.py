@@ -31,8 +31,11 @@ class BoundedSeq:
         fn: vectorised evaluator, int64 index array to value array.
         sup_bound: upper bound for |g(n)|, not required to be attained.
         label: short descriptive tag carried into reports.
-        samples: optional concrete int8 window (index 1 at position 0);
+        samples: optional concrete integer window (index 1 at position 0);
             when present, correlation sums run in exact integer arithmetic.
+            It is the int8 window itself when every value lies in
+            [-11, 11], so a product of two fits int8 (sign windows), and an
+            int16 copy otherwise.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -54,7 +57,10 @@ class BoundedSeq:
         arr = np.asarray(values)
         if sup_bound is None:
             sup_bound = float(np.max(np.abs(arr))) if len(arr) else 0.0
-        ints = arr if arr.dtype == np.int8 else None
+        ints = None
+        if arr.dtype == np.int8:
+            small = len(arr) == 0 or (arr.min() >= -11 and arr.max() <= 11)
+            ints = arr if small else arr.astype(np.int16)
 
         def fn(idx: np.ndarray) -> np.ndarray:
             if len(idx) and (idx[0] < 1 or idx[-1] > len(arr)):

@@ -33,17 +33,19 @@ from .errors import (
     InvalidRangeError,
     NonPrimeError,
     NotDisjointError,
+    RangeOverflowError,
     SignWordTooShortError,
     WindowTooLongError,
     ZeroSetTooLargeError,
 )
 from .experiments import sign_window
-from .sieve import factor_oracle, primes_upto
+from .sieve import MAX_INDEX, is_prime, primes_upto
 
 MIRSKY_PRIME_BOUND = 10**4
 ZERO_SET_CAP = 20
 _BINARY_LEN_CAP = 64
 _TERNARY_LEN_CAP = 39
+RESIDUE_PRIME_LIMIT = isqrt(MAX_INDEX)  # 3037000499, the largest p with p^2 in int64
 
 
 def _as_word(values, allowed: tuple[int, ...]) -> np.ndarray:
@@ -107,14 +109,18 @@ class SkewPoint:
 def residue_count(p: int, shifts) -> int:
     """Number of distinct residues of the shift set modulo p^2.
 
-    p must be prime (checked deterministically); shifts must be non-empty.
+    p must be a prime (checked by sieve.is_prime) with p^2 in int64, so
+    p <= RESIDUE_PRIME_LIMIT, else RangeOverflowError; shifts must be
+    non-empty.
     """
     shifts = np.asarray(sorted(set(int(a) for a in shifts)), dtype=np.int64)
     if len(shifts) == 0:
         raise InvalidRangeError("shift set must be non-empty")
     if np.any(shifts < 0):
         raise InvalidRangeError("shifts must be non-negative")
-    if p < 2 or factor_oracle(p) != [p]:
+    if p > RESIDUE_PRIME_LIMIT:
+        raise RangeOverflowError(f"p^2 must fit int64, so p <= {RESIDUE_PRIME_LIMIT}, got {p}")
+    if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     return len(np.unique(shifts % (p * p)))
 
@@ -243,14 +249,20 @@ class BlockTable:
                                  repr(self.counts[word] / self.N)])
 
 
-def _window_values(x) -> tuple[np.ndarray, bool]:
+def _window_values(x, n: int) -> tuple[np.ndarray, bool]:
+    """x as an int8 array, and whether its first n symbols, the only ones
+    the block codes read, all lie in {0, 1}; ValueError when one of them
+    lies outside {-1, 0, 1}."""
     if isinstance(x, (Block2, Block3)):
         values = x.values
     else:
         values = np.asarray(x, dtype=np.int8)
-    # min() reads the values without a full-size boolean temporary
-    binary = values.size == 0 or bool(values.min() >= 0)
-    return values, binary
+    head = values[:n]
+    # min() and max() read the head without a full-size boolean temporary
+    lo, hi = (int(head.min()), int(head.max())) if head.size else (0, 0)
+    if lo < -1 or hi > 1:
+        raise ValueError("block values must lie in (-1, 0, 1)")
+    return values, lo >= 0
 
 
 def _encode_windows(values: np.ndarray, L: int, N: int, binary: bool) -> np.ndarray:
@@ -291,7 +303,7 @@ def empirical_block_measure(x, L: int, N: int) -> BlockTable:
     """
     if L < 1 or N < 1:
         raise InvalidRangeError(f"need L >= 1 and N >= 1, got L={L}, N={N}")
-    values, binary = _window_values(x)
+    values, binary = _window_values(x, N + L - 1)
     if N + L - 1 > len(values):
         raise WindowTooLongError(
             f"need {N + L - 1} symbols for N={N} windows of length {L}, have {len(values)}")
@@ -349,7 +361,7 @@ def block_entropy_estimate(x, L_grid, N: int) -> EntropyEstimate:
         raise InvalidRangeError("L grid must be non-empty with L >= 1")
     if N < 1:
         raise InvalidRangeError(f"need N >= 1, got N={N}")
-    values, binary = _window_values(x)
+    values, binary = _window_values(x, N + grid[-1] - 1)
     if N + grid[-1] - 1 > len(values):
         raise WindowTooLongError("data too short for the largest block length")
     exps = []

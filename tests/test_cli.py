@@ -101,19 +101,20 @@ def test_experiment_single_run(tmp_path, capsys):
     assert [row["N"] for row in stored["grid"]] == [1000, 2000]
 
 
-def test_experiment_theta_flags(capsys):
+def test_experiment_theta_params(capsys):
     code = main(["experiment", "--id", "mobius_exponential",
-                 "--theta-over-2pi", "0.25", "--n-grid", "1000"])
+                 "--param", "theta_over_2pi=0.25", "--n-grid", "1000"])
     assert code == 0
     turns = json.loads(capsys.readouterr().out)
     assert turns["params"] == {"theta_over_2pi": 0.25}
     assert main(["experiment", "--id", "mobius_exponential",
-                 "--theta", repr(math.pi / 2), "--n-grid", "1000"]) == 0
+                 "--param", f"theta={math.pi / 2!r}", "--n-grid", "1000"]) == 0
     radians = json.loads(capsys.readouterr().out)
     assert turns["grid"] == radians["grid"]
-    # radians and turns flags are mutually exclusive
-    assert main(["experiment", "--id", "mobius_exponential", "--theta", "1.0",
-                 "--theta-over-2pi", "0.5", "--n-grid", "1000"]) == 2
+    # the angle flags are gone: --param is the one way to pass an angle
+    for flag in ("--theta", "--theta-over-2pi"):
+        assert main(["experiment", "--id", "mobius_exponential", flag, "0.25",
+                     "--n-grid", "1000"]) == 2
 
 
 def test_experiment_rejects_unknown_param(capsys):
@@ -121,10 +122,17 @@ def test_experiment_rejects_unknown_param(capsys):
                  "--param", "theta_over_2pl=0.618", "--n-grid", "1000"]) == 2
     assert "'theta_over_2pl'" in capsys.readouterr().out
     assert main(["experiment", "--id", "mobius_exponential", "--param", "theta=1.0",
-                 "--theta-over-2pi", "0.5", "--n-grid", "1000"]) == 2
+                 "--param", "theta_over_2pi=0.5", "--n-grid", "1000"]) == 2
     capsys.readouterr()
     assert main(["experiment", "--id", "two_point", "--n-grid", "100"]) == 2
     assert "needs param 'h'" in capsys.readouterr().out
+
+
+def test_experiment_refuses_an_empty_grid(capsys, sieve_calls):
+    # only an absent --n-grid selects the default grid
+    assert main(["experiment", "--id", "two_point", "--param", "h=1", "--n-grid", ""]) == 2
+    assert "'grid'" in capsys.readouterr().out
+    assert sieve_calls == []
 
 
 def test_experiment_needs_exactly_one_mode(tmp_path, capsys):

@@ -15,12 +15,13 @@ from mflab.config import (
     EXIT_TOLERANCE,
     ExperimentSpec,
     RunConfig,
+    exit_code,
     load_config,
     parse_config,
     run,
 )
 from mflab.cli import main
-from mflab.errors import ConfigError
+from mflab.errors import CacheChecksumError, CacheFormatError, ConfigError, WindowLimitError
 import mflab.experiments as ex
 from mflab.experiments import WindowStore, run_experiment, sign_window, two_point_correlation
 from mflab.sieve import SEGMENT
@@ -236,6 +237,42 @@ def test_run_missing_golden_file_is_config_error(tmp_path):
     assert run(cfg) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("golden", [
+    ["tp"],                                     # a list, not an object
+    {"tp": [0.5]},                              # an entry that is not an object
+    {"tp": {"final_ab": 123.0, "tol": 0.0}},    # a misspelled key
+    {"tp": {"final_abs": "0.5"}},
+    {"tp": {"tol": True}},
+    {"tp": {"max_final_abs": float("nan")}},
+    {"tp": {"require_decreasing": 1}},
+])
+def test_malformed_golden_file_exits_two_before_any_window(golden, tmp_path, fresh_windows,
+                                                           sieve_calls, capsys):
+    config = _write_json(tmp_path / "cfg.json", {
+        "experiments": [{"id": "two_point", "name": "tp", "params": {"h": 1}, "n_grid": [100]}],
+        "output_dir": str(tmp_path / "out"),
+        "golden_file": str(_write_json(tmp_path / "golden.json", golden))})
+    assert main(["experiment", "--config", str(config)]) == EXIT_CONFIG
+    printed = capsys.readouterr().out
+    assert printed.startswith("config error:") and printed.count("\n") == 1
+    assert sieve_calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (CacheFormatError("bad header"), EXIT_CACHE, "cache error: bad header"),
+    (CacheChecksumError("bad crc"), EXIT_CACHE, "cache error: bad crc"),
+    (ConfigError("bad key"), EXIT_CONFIG, "config error: bad key"),
+    (WindowLimitError("too long"), EXIT_CONFIG, "error: too long"),
+    (ValueError("bad value"), EXIT_CONFIG, "error: bad value"),
+    (OverflowError("too big"), EXIT_CONFIG, "error: too big"),
+    (NotADirectoryError("not a dir"), EXIT_CONFIG, "error: not a dir"),
+])
+def test_exit_code_maps_each_error_family(exc, code, line, capsys):
+    assert exit_code(exc) == code
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_run_detects_corrupt_cache(tmp_path):
     from mflab.cache import write_cache
     from mflab.sieve import sieve
@@ -361,6 +398,38 @@ def test_scripts_exit_two_on_a_window_past_the_limit(script, tmp_path, monkeypat
     assert "allow_large" in capsys.readouterr().out
     assert sieve_calls == []
     assert not out.is_file() and list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("script", ["decay_battery.py", "freeze_goldens.py"])
+def test_scripts_exit_two_on_an_unwritable_out(script, tmp_path, monkeypatch, capsys):
+    config = _write_json(tmp_path / "battery.json", {
+        "experiments": [{"id": "two_point", "params": {"h": 1}, "n_grid": [100]}]})
+    (tmp_path / "f").write_text("")
+    # no one, root included, can create a path under a regular file
+    code = _run_script(script, monkeypatch, "--config", str(config),
+                       "--out", str(tmp_path / "f" / "out"))
+    assert code == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().out.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("error:") and "Not a directory" in errors[0]
+
+
+def test_freeze_goldens_writes_goldens_from_a_batch_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = _write_json(tmp_path / "battery.json", {
+        "experiments": [{"id": "two_point", "name": "tp", "params": {"h": 1},
+                         "n_grid": [1000, 2000]}]})
+    out = tmp_path / "goldens.json"
+    code = _run_script("freeze_goldens.py", monkeypatch, "--config", str(config),
+                       "--out", str(out))
+    assert code == EXIT_OK
+    final = abs(two_point_correlation(1, 2000))
+    endpoint = final <= abs(two_point_correlation(1, 1000))
+    assert json.loads(out.read_text()) == {"tp": {
+        "final_abs": final, "tol": 0.0, "max_final_abs": 0.05, "require_endpoint_decay": True}}
+    assert capsys.readouterr().out.splitlines() == [
+        f"tp: final_abs={final!r} endpoint_decay={endpoint}", f"wrote {out}"]
+    # the reports went to a temporary directory, not to the config's output_dir
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["battery.json", "goldens.json"]
 
 
 def test_freeze_goldens_refuses_missing_cache_dir(tmp_path, monkeypatch, capsys, sieve_calls):

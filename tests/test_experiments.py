@@ -306,7 +306,7 @@ def test_run_experiment_rejects_unknown_params(exp_id, params, match):
         run_experiment(exp_id, params, [100])
 
 
-@pytest.mark.parametrize("grid", [[1.5, True], [100, True], ["100"], [0], [100, -5], 100])
+@pytest.mark.parametrize("grid", [[1.5, True], [100, True], ["100"], [0], [100, -5], 100, []])
 def test_run_experiment_refuses_grids_that_are_not_positive_integers(grid, sieve_calls):
     with pytest.raises(ValueError, match="'grid'"):
         run_experiment("two_point", {"h": 1}, grid)

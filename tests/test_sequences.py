@@ -81,6 +81,15 @@ def test_correlation_csv_roundtrip(tmp_path):
         assert float(row[1]) == v.real and float(row[2]) == v.imag
 
 
+@pytest.mark.parametrize("value", [100, -128, 12])
+def test_int8_windows_outside_the_sign_alphabet_sum_exactly(value):
+    g = BoundedSeq.from_samples(np.full(4, value, np.int8), sup_bound=128.0)
+    assert correlation_table(g, 2, 1).value(0) == value * value
+    assert cross_correlation(g, g, 2) == value * value
+    signs = BoundedSeq.from_samples(np.array([1, -1, 0, 1], np.int8))
+    assert signs.samples.dtype == np.int8
+
+
 def test_cross_correlation_of_distinct_rotations_is_geometric():
     alpha, beta = 1.9, 0.4
     g = BoundedSeq.exponential(alpha)

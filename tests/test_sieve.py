@@ -20,7 +20,9 @@ from mflab.sieve import (
     WHEEL,
     PrimeBasis,
     _log_weight,
+    MILLER_RABIN_LIMIT,
     factor_oracle,
+    is_prime,
     oracle_values,
     primes_upto,
     sieve,
@@ -53,6 +55,15 @@ def test_primes_upto_memory_is_one_table_and_one_prime_array():
     assert primes.dtype == np.int64 and len(primes) == 664_579
     # the bool flag table plus the primes; a second int64 copy would add 5 MiB
     assert peak < (bound + 1) + primes.nbytes + 2**20
+
+
+def test_is_prime_agrees_with_the_oracle():
+    assert [n for n in range(-2, 10**5) if is_prime(n)] == \
+        [n for n in range(2, 10**5) if factor_oracle(n) == [n]]
+    assert is_prime(1_000_000_007) and is_prime(3_037_000_493)
+    assert not is_prime(3_037_000_499)
+    with pytest.raises(RangeOverflowError):
+        is_prime(MILLER_RABIN_LIMIT)  # a strong pseudoprime to all four bases
 
 
 def test_factor_oracle_small():

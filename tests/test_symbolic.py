@@ -16,6 +16,7 @@ from mflab.errors import (
     InvalidRangeError,
     NonPrimeError,
     NotDisjointError,
+    RangeOverflowError,
     SignWordTooShortError,
     WindowTooLongError,
     ZeroSetTooLargeError,
@@ -54,6 +55,15 @@ def test_residue_count_rejects_composites():
     for bad in (1, 4, 6, 9, 100):
         with pytest.raises(NonPrimeError):
             residue_count(bad, {0})
+
+
+def test_residue_count_takes_every_prime_whose_square_fits_int64():
+    assert residue_count(1_000_000_007, {0, 1, 1_000_000_007**2}) == 2
+    assert residue_count(3_037_000_493, {0, 3_037_000_493**2, 5}) == 2
+    with pytest.raises(NonPrimeError):
+        residue_count(3_037_000_499, {0})  # isqrt(2**63 - 1) itself is composite
+    with pytest.raises(RangeOverflowError):
+        residue_count(3_037_000_507, {0})  # the next prime: its square passes int64
 
 
 def test_admissibility_pinned():
@@ -294,15 +304,23 @@ def test_entropy_memory_does_not_scale_with_window(mu_window):
 def test_alphabet_choice_needs_no_window_sized_temporary(mu_window):
     tracemalloc.start()
     try:
-        values, binary = _window_values(mu_window)
+        values, binary = _window_values(mu_window, len(mu_window))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert values is mu_window and not binary
     # a boolean mask of the 1e7 window alone would take 9.5 MiB
     assert peak < 2**20
-    assert _window_values(np.empty(0, dtype=np.int8))[1]
-    assert _window_values(mu_window[mu_window >= 0][:1000])[1]
+    assert _window_values(np.empty(0, dtype=np.int8), 0)[1]
+    assert _window_values(mu_window[mu_window >= 0][:1000], 1000)[1]
+
+
+@pytest.mark.parametrize("values", [[0, 2, 1, 0, 2], [1, -1, 0, -2, 1], [0, 1, 100, 1, 0]])
+def test_block_statistics_refuse_symbols_outside_the_alphabet(values):
+    with pytest.raises(ValueError, match="block values"):
+        empirical_block_measure(values, 2, 4)
+    with pytest.raises(ValueError, match="block values"):
+        block_entropy_estimate(values, [2], 4)
 
 
 def test_square_map_and_apply_signs_roundtrip():
