@@ -15,11 +15,12 @@ labels, each in a fresh process, the layer samples layers.sieve_1e8_s
 (every one is recorded; a single pass a round spread too widely to show
 a sieve change below about 20%), and one read_cache of a
 mobius cache file of 1e7 values that another process wrote just before,
-the layer sample layers.cache_read_1e7_s.  It also times two commands end
+the layer sample layers.cache_read_1e7_s.  It also times three commands end
 to end, each in a fresh process and with start-up included:
 `mfl experiment --id mobius_exponential --n-grid 10000000`
-(layers.experiment_1e7_s) and scripts/decay_battery.py against its goldens
-(layers.decay_battery_s).
+(layers.experiment_1e7_s), scripts/decay_battery.py against its goldens
+(layers.decay_battery_s), and the Tier-1 test suite, `python -m pytest -q
+--continue-on-collection-errors` with src/ on the path (layers.tier1_s).
 
 For each checkout it writes BENCH_<TAG>.json into --out-dir.  Each metric
 gets its median, interquartile range and sample count.  The file also
@@ -125,6 +126,11 @@ def time_battery(checkout: Path) -> float:
         return time_command(checkout, "scripts/decay_battery.py", "--out", tmp)
 
 
+def time_tier1(checkout: Path) -> float:
+    """Seconds of the checkout's Tier-1 test suite; a failing suite stops the recording."""
+    return time_command(checkout, "-m", "pytest", "-q", "--continue-on-collection-errors")
+
+
 def code_state(checkout: Path) -> dict:
     """The checkout's commit, whether tracked files differ from it, and a
     sha256 of src/ that names the measured code even when they do."""
@@ -166,7 +172,8 @@ def main() -> int:
                      "runs": [], "metrics": {},
                      "layers": {name: {"unit": "s", "samples": []}
                                 for name in ("sieve_1e8_s", "cache_read_1e7_s",
-                                             "experiment_1e7_s", "decay_battery_s")}}
+                                             "experiment_1e7_s", "decay_battery_s",
+                                             "tier1_s")}}
                for tag, path in checkouts.items()}
     order = list(checkouts)
     for r, seed in enumerate(SEEDS):
@@ -197,7 +204,7 @@ def main() -> int:
             layers["cache_read_1e7_s"]["samples"].append(seconds)
             print(f"round {r} {tag} read_cache 1e7: {seconds:.4f} s", flush=True)
             for name, timer in (("experiment_1e7_s", time_experiment),
-                                ("decay_battery_s", time_battery)):
+                                ("decay_battery_s", time_battery), ("tier1_s", time_tier1)):
                 seconds = timer(checkouts[tag])
                 layers[name]["samples"].append(seconds)
                 print(f"round {r} {tag} {name}: {seconds:.3f} s", flush=True)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import CacheChecksumError, CacheFormatError
 from .sieve import SignSeq
+from .summation import BLOCK
 
 MAGIC = b"MFL1"
 _HEADER = struct.Struct("<4sBQQ")
@@ -61,19 +62,26 @@ def pack_signs(values: np.ndarray) -> bytes:
     return x.astype(np.uint8).tobytes()
 
 
-def unpack_signs(payload: bytes, length: int) -> np.ndarray:
-    """Decode length values from a packed payload; CacheFormatError when the
-    payload size does not fit length, a padding bit is set or a code is 10."""
+def unpack_signs(payload, length: int) -> np.ndarray:
+    """Decode length values from a packed payload (any bytes-like object,
+    read in place); CacheFormatError when the payload size does not fit
+    length, a padding bit is set or a code is 10.  The payload is checked
+    and decoded one BLOCK of bytes at a time into the output words."""
     raw = np.frombuffer(payload, dtype=np.uint8)
     if len(raw) != (length + 3) // 4:
         raise CacheFormatError(f"payload is {len(raw)} bytes, {length} values need "
                                f"{(length + 3) // 4}")
     if length % 4 and raw[-1] >> 2 * (length % 4):
         raise CacheFormatError("nonzero padding bits after the declared length")
-    # code 10: the high bit of a pair set and its low bit clear
-    if np.any(raw & ~(raw << 1) & 0xAA):
-        raise CacheFormatError("invalid 2-bit code 10 in payload")
-    return _QUADS.take(raw).view(np.int8)[:length]
+    words = np.empty(len(raw), dtype="<u4")
+    for b in range(0, len(raw), BLOCK):
+        part = raw[b : b + BLOCK]
+        # code 10: the high bit of a pair set and its low bit clear
+        if np.any(part & ~(part << 1) & 0xAA):
+            raise CacheFormatError("invalid 2-bit code 10 in payload")
+        # every uint8 index is in range; clip skips the buffered copy raise makes
+        _QUADS.take(part, out=words[b : b + BLOCK], mode="clip")
+    return words.view(np.int8)[:length]
 
 
 def write_cache(path: str | Path, seq: SignSeq) -> None:
@@ -106,8 +114,8 @@ def read_cache(path: str | Path) -> SignSeq:
     expected = _HEADER.size + (length + 3) // 4 + 4
     if len(blob) != expected:
         raise CacheFormatError(f"file is {len(blob)} bytes, header implies {expected}")
-    body, tail = blob[:-4], blob[-4:]
-    crc = struct.unpack("<I", tail)[0]
+    body = memoryview(blob)[:-4]  # views, so the payload is never copied
+    crc = struct.unpack_from("<I", blob, len(body))[0]
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise CacheChecksumError(f"checksum mismatch in {path}")
     values = unpack_signs(body[_HEADER.size :], length)

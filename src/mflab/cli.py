@@ -164,6 +164,11 @@ def _cmd_mirsky(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.config is not None:
+        ignored = [flag for flag, value in (("--n-grid", args.n_grid), ("--out", args.out))
+                   if value is not None] + ["--param"] * bool(args.param)
+        if ignored:
+            raise ValueError(f"{', '.join(ignored)} apply only to --id; a --config batch "
+                             f"takes its grids, params and output_dir from the config file")
         cfg = load_config(args.config)
         if cfg.cache_dir is None:
             _load_env_caches()

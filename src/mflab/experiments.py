@@ -16,6 +16,8 @@ unknown or missing names and any value of the wrong type or range.
 Reports are JSON with sorted keys, so identical configurations produce
 byte-identical files apart from the wall-clock field.  Every window is read
 through one WindowStore, which refuses to grow a window past its limit.
+The kernels stream their windows in slices of summation.BLOCK indices, so
+the store's windows are the only arrays of window length a run holds.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
 )
 from .sequences import BoundedSeq, TrigPoly
 from .sieve import LABELS, SEGMENT, SignSeq, sieve
-from .summation import CHUNK, KahanAccumulator
+from .summation import BLOCK, CHUNK, KahanAccumulator, lag_sums
 
 # golden-ratio frequency used by the default battery
 THETA_STAR = 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0
@@ -53,9 +55,8 @@ DEFAULT_GRID = (10**5, 10**6, 10**7)
 # above short_interval's 2X + H = 3e7 at X = H = 1e7
 WINDOW_LIMIT = 1 << 25
 
-# _modulated_average: terms per row of the phase table, terms per piece
+# _modulated_average: terms per row of the phase table
 ROW = 1 << 10
-BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,30 @@ def load_caches(directory: str | Path) -> None:
         WINDOWS.adopt(seq)
 
 
-def _modulated_average(mask: np.ndarray, theta: float, N: int) -> complex:
-    """(1/N) * sum_{n=1..N} mask[n-1] * exp(i n theta), exact when theta = 0.
+def _block_product(factors: list[np.ndarray], b: int, size: int,
+                   out: np.ndarray) -> np.ndarray:
+    """Entries b..b+size-1 of the product of the factors, in their dtype: a
+    view of the one factor, else written into out[:size]."""
+    first, *rest = factors
+    if not rest:
+        return first[b : b + size]
+    part = out[:size]
+    np.multiply(first[b : b + size], rest[0][b : b + size], out=part)
+    for f in rest[1:]:
+        np.multiply(part, f[b : b + size], out=part)
+    return part
+
+
+def _product_sum(factors: list[np.ndarray], N: int) -> int:
+    """sum_{j<N} of the product of f[j] over the factors, exactly, one BLOCK at a time."""
+    buf = np.empty(min(BLOCK, N), dtype=np.int8)
+    return sum(int(np.sum(_block_product(factors, b, min(BLOCK, N - b), buf), dtype=np.int64))
+               for b in range(0, N, BLOCK))
+
+
+def _modulated_average(factors: list[np.ndarray], theta: float, N: int) -> complex:
+    """(1/N) * sum_{n=1..N} mask[n-1] * exp(i n theta), exact when theta = 0,
+    where mask is the product of the int8 factors, formed one BLOCK at a time.
 
     Uses exp(i theta (n0 + j)) = exp(i theta n0) * exp(i theta j): the
     mask is cut into rows of ROW consecutive terms starting at n0, one
@@ -187,10 +210,11 @@ def _modulated_average(mask: np.ndarray, theta: float, N: int) -> complex:
     per-term error (at most 6.8e-14).
     """
     if theta == 0.0:
-        return complex(int(np.sum(mask[:N], dtype=np.int64)) / N)
+        return complex(_product_sum(factors, N) / N)
     j = theta * np.arange(ROW, dtype=np.float64)
     table = np.stack((np.cos(j), np.sin(j)), axis=1)
     buf = np.empty(BLOCK, dtype=np.float64)  # reused for every piece
+    mask = np.empty(BLOCK, dtype=np.int8)
     acc = KahanAccumulator()
     for lo in range(0, N, CHUNK):
         hi = min(lo + CHUNK, N)
@@ -198,7 +222,7 @@ def _modulated_average(mask: np.ndarray, theta: float, N: int) -> complex:
         for b in range(lo, hi, BLOCK):
             size = min(BLOCK, hi - b)
             rows = -(-size // ROW)
-            buf[:size] = mask[b : b + size]
+            buf[:size] = _block_product(factors, b, size, mask)
             buf[size : rows * ROW] = 0.0
             first = (b - lo) // ROW
             np.matmul(buf[: rows * ROW].reshape(rows, ROW), table,
@@ -216,7 +240,7 @@ def mobius_exponential_sum(theta: float, N: int) -> complex:
     """(1/N) * sum_{n<=N} mobius(n) * exp(i n theta)."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
-    return _modulated_average(sign_window("mobius", N), theta, N)
+    return _modulated_average([sign_window("mobius", N)], theta, N)
 
 
 def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
@@ -231,10 +255,7 @@ def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
     # the longer window first: one pass fills both, or the limit refuses before any sieving
     sq = sign_window("squarefree", N + reach)
     mu = sign_window("mobius", N)
-    mask = mu[:N].copy()
-    for a in shifts:
-        mask *= sq[a : a + N]
-    return _modulated_average(mask, theta, N)
+    return _modulated_average([mu] + [sq[a:] for a in shifts], theta, N)
 
 
 @dataclass(frozen=True)
@@ -267,11 +288,8 @@ def pattern_correlation(pattern: Pattern, N: int, label: str = "mobius") -> floa
         raise InvalidRangeError(f"N must be >= 1, got {N}")
     reach = max(pattern.shifts)
     w = sign_window(label, N + reach)
-    acc = np.ones(N, dtype=np.int8)
-    for a, e in zip(pattern.shifts, pattern.exponents):
-        part = w[a : a + N]
-        acc = acc * (part * part if e == 2 else part)
-    return int(np.sum(acc, dtype=np.int64)) / N
+    factors = [w[a:] for a, e in zip(pattern.shifts, pattern.exponents) for _ in range(e)]
+    return _product_sum(factors, N) / N
 
 
 def two_point_correlation(h: int, X: int) -> float:
@@ -279,8 +297,7 @@ def two_point_correlation(h: int, X: int) -> float:
     if h < 1 or X < 1:
         raise InvalidRangeError(f"need h >= 1 and X >= 1, got h={h}, X={X}")
     lam = sign_window("liouville", X + h)
-    s = int(np.sum(lam[:X] * lam[h : h + X], dtype=np.int64))
-    return abs(s) / X
+    return abs(lag_sums(lam, [h], 0, X)[0]) / X
 
 
 def small_correlation_fraction(H: int, X: int, delta: float) -> float:
@@ -290,12 +307,7 @@ def small_correlation_fraction(H: int, X: int, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     lam = sign_window("liouville", X + H)
-    base = lam[:X]
-    hits = 0
-    for h in range(1, H + 1):
-        s = abs(int(np.sum(base * lam[h : h + X], dtype=np.int64)))
-        if s <= delta * X:
-            hits += 1
+    hits = sum(abs(s) <= delta * X for s in lag_sums(lam, range(1, H + 1), 0, X))
     return hits / H
 
 
@@ -308,9 +320,11 @@ def windowed_sum_energy(k: int, h: int, N: int,
     against the periodogram of the window [1, N + h*k].  The two agree up
     to edge effects: |direct - spectral| <= (2*h*k/N) * h^2.
 
-    The spectral route costs an FFT with at least 2*(N + h*k) bins, so
-    callers that only need the direct statistic (decay scans over large N)
-    pass with_spectral=False and get (direct, None).
+    The direct route streams the window one BLOCK at a time.  The spectral
+    route costs an FFT with at least 2*(N + h*k) bins, and its arrays are
+    O(bins), several times the int8 window; callers that only need the
+    direct statistic (decay scans over large N, the window_energy
+    experiment) pass with_spectral=False and get (direct, None).
     """
     from .spectral import dirichlet_energy, periodogram
 
@@ -320,11 +334,18 @@ def windowed_sum_energy(k: int, h: int, N: int,
     mu = sign_window("mobius", N + reach)
     # |sum| <= h, so up to h = 127 the sums fit int8 and their squares int16
     narrow = h <= 127
-    sums = np.zeros(N, dtype=np.int8 if narrow else np.int32)
-    for l in range(1, h + 1):
-        sums += mu[k * l : k * l + N]
-    squares = np.square(sums, dtype=np.int16 if narrow else np.int64)
-    direct = int(np.sum(squares, dtype=np.int64)) / N
+    sums = np.empty(min(BLOCK, N), dtype=np.int8 if narrow else np.int32)
+    squares = np.empty(len(sums), dtype=np.int16 if narrow else np.int64)
+    total = 0
+    for b in range(0, N, BLOCK):
+        size = min(BLOCK, N - b)
+        part, sq = sums[:size], squares[:size]
+        part.fill(0)
+        for l in range(1, h + 1):
+            part += mu[b + k * l : b + k * l + size]
+        np.square(part, out=sq, dtype=sq.dtype)
+        total += int(np.sum(sq, dtype=np.int64))
+    direct = total / N
     if not with_spectral:
         return direct, None
 
@@ -336,23 +357,25 @@ def windowed_sum_energy(k: int, h: int, N: int,
     return direct, spectral
 
 
-def _partial_sum_dtype(length: int) -> type:
-    """int32 when partial sums of `length` signs fit it (|sum| <= length), else int64."""
-    return np.int32 if length < 2**31 else np.int64
-
-
 def short_interval_average(H: int, X: int) -> float:
     """(1/(H*X)) * sum_{x=X..2X-1} |sum_{x < k <= x+H} mobius(k)|."""
     if H < 1 or X < 1:
         raise InvalidRangeError(f"need H >= 1 and X >= 1, got H={H}, X={X}")
-    # csum[i] = sum of mobius(k) for X < k <= X + i; each inner sum is a
-    # difference of two, so the partial sums up to X are never needed
+    # mu[i] = mobius(X + 1 + i); inner(i) = sum of mu[i..i+H-1] is the inner
+    # sum at x = X + i, and inner(i + 1) = inner(i) + mu[i + H] - mu[i]
     mu = sign_window("mobius", 2 * X + H)[X:]
-    csum = np.zeros(X + H + 1, dtype=_partial_sum_dtype(X + H))
-    np.cumsum(mu, dtype=csum.dtype, out=csum[1:])
-    inner = csum[H : X + H] - csum[:X]
-    np.abs(inner, out=inner)
-    return int(np.sum(inner, dtype=np.int64)) / (H * X)
+    carry = int(np.sum(mu[:H], dtype=np.int64))  # inner(0)
+    steps = np.empty(min(BLOCK, X) + 1, dtype=np.int64)
+    total = 0
+    for b in range(0, X, BLOCK):
+        size = min(BLOCK, X - b)
+        part = steps[: size + 1]
+        part[0] = carry
+        np.subtract(mu[b + H : b + H + size], mu[b : b + size], out=part[1:], dtype=np.int64)
+        np.cumsum(part, out=part)  # part[j] = inner(b + j)
+        carry = int(part[size])
+        total += int(np.sum(np.abs(part[:size], out=part[:size]), dtype=np.int64))
+    return total / (H * X)
 
 
 def rotation_orthogonality(alpha: float, poly: TrigPoly, N: int) -> complex:
@@ -511,7 +534,9 @@ def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None, *,
     than the store's limit raises WindowLimitError.
     allow_large raises that limit, for this call only, to a sixth of the
     physical memory: three int8 labels, with the old and the grown arrays
-    held together while a window grows.  The report carries the params
+    held together while a window grows.  Every experiment streams its
+    windows in BLOCK slices, so past the windows a run holds O(BLOCK)
+    bytes, and the index limit bounds the bytes too.  The report carries the params
     exactly as passed; the checksum covers the id, the params and the
     sorted grid.
     """

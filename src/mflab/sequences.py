@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidRangeError, LagTooLargeError
-from .summation import KahanAccumulator, index_chunks
+from .summation import KahanAccumulator, index_chunks, lag_sums
 
 
 @dataclass
@@ -55,12 +55,17 @@ class BoundedSeq:
                      sup_bound: float | None = None) -> "BoundedSeq":
         """Wrap an arbitrary sample window anchored at index 1."""
         arr = np.asarray(values)
+        integer = arr.dtype.kind in "iu"
+        low = high = 0
+        if len(arr) and integer and (sup_bound is None or arr.dtype == np.int8):
+            # the extremes as Python ints: np.abs would wrap -128 in int8
+            low, high = int(arr.min()), int(arr.max())
         if sup_bound is None:
-            sup_bound = float(np.max(np.abs(arr))) if len(arr) else 0.0
+            exact_abs = len(arr) and not integer  # float, complex and bool values
+            sup_bound = float(np.max(np.abs(arr))) if exact_abs else float(max(-low, high))
         ints = None
         if arr.dtype == np.int8:
-            small = len(arr) == 0 or (arr.min() >= -11 and arr.max() <= 11)
-            ints = arr if small else arr.astype(np.int16)
+            ints = arr if -11 <= low and high <= 11 else arr.astype(np.int16)
 
         def fn(idx: np.ndarray) -> np.ndarray:
             if len(idx) and (idx[0] < 1 or idx[-1] > len(arr)):
@@ -122,8 +127,7 @@ def _window_products_sum(g: BoundedSeq, k: int, lo: int, hi: int) -> complex:
         w = g.samples
         if hi - 1 + k > len(w):
             raise InvalidRangeError("window with lag runs past the sampled data")
-        prod = w[lo - 1 + k : hi - 1 + k] * w[lo - 1 : hi - 1]
-        return float(np.sum(prod, dtype=np.int64))
+        return float(lag_sums(w, [k], lo - 1, hi - 1)[0])
     acc = KahanAccumulator()
     for idx in index_chunks(lo, hi):
         acc.add(np.sum(g.eval(idx + k) * np.conj(g.eval(idx))))

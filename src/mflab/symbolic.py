@@ -40,6 +40,7 @@ from .errors import (
 )
 from .experiments import sign_window
 from .sieve import MAX_INDEX, is_prime, primes_upto
+from .summation import BLOCK
 
 MIRSKY_PRIME_BOUND = 10**4
 ZERO_SET_CAP = 20
@@ -215,12 +216,19 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
         squarefree_window = sign_window("squarefree", n_check + reach)
     if len(squarefree_window) < n_check + reach:
         raise WindowTooLongError("square-free window shorter than n_check plus max shift")
-    mask = np.ones(n_check, dtype=bool)
-    for a in ones:
-        mask &= squarefree_window[a : a + n_check] == 1
-    for b in zeros:
-        mask &= squarefree_window[b : b + n_check] == 0
-    empirical = float(np.count_nonzero(mask)) / n_check
+    mask = np.empty(min(BLOCK, n_check), dtype=bool)
+    hit = np.empty_like(mask)
+    count = 0
+    for b in range(0, n_check, BLOCK):
+        size = min(BLOCK, n_check - b)
+        m, t = mask[:size], hit[:size]
+        m.fill(True)
+        for shifts, want in ((ones, 1), (zeros, 0)):
+            for a in shifts:
+                np.equal(squarefree_window[b + a : b + a + size], want, out=t)
+                m &= t
+        count += int(np.count_nonzero(m))
+    empirical = count / n_check
     return MirskyDensity(estimate, empirical, tail)
 
 

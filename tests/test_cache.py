@@ -1,6 +1,7 @@
 """Binary sign-cache format: roundtrips, corruption detection, packing."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -18,6 +19,7 @@ from mflab.cache import (
 )
 from mflab.errors import CacheChecksumError, CacheFormatError
 from mflab.sieve import SignSeq, sieve
+from mflab.summation import BLOCK
 
 
 def test_roundtrip_each_label(tmp_path):
@@ -51,6 +53,31 @@ def test_pack_density():
 def test_pack_unpack_roundtrip(vals):
     arr = np.array(vals, dtype=np.int8)
     assert np.array_equal(unpack_signs(pack_signs(arr), len(arr)), arr)
+
+
+@pytest.mark.parametrize("length", [4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 12 * BLOCK + 7])
+def test_unpack_signs_across_payload_blocks(length):
+    values = sieve("liouville", 1, length + 1).values * sieve("squarefree", 1, length + 1).values
+    packed = pack_signs(values)
+    assert np.array_equal(unpack_signs(packed, length), values)
+    # a code 10 in the next-to-last payload byte is refused, whichever block holds it
+    bad = bytearray(packed)
+    bad[-2] = 0b10
+    with pytest.raises(CacheFormatError, match="code 10"):
+        unpack_signs(bytes(bad), length)
+
+
+def test_read_cache_holds_only_the_window_and_the_file(tmp_path):
+    path = tmp_path / "mobius.bin"
+    write_cache(path, sieve("mobius", 1, 10**6 + 1))
+    tracemalloc.start()
+    try:
+        seq = read_cache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 10**6
+    assert peak < len(seq.values) + path.stat().st_size + (1 << 20)
 
 
 # 1, -1, 0, 1 | -1, 1, -1, 1 as codes 01 11 00 01 | 11 01 11 01, low bits first

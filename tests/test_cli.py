@@ -142,6 +142,23 @@ def test_experiment_needs_exactly_one_mode(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg), "--id", "two_point"]) == 2
 
 
+@pytest.mark.parametrize("extra", [["--n-grid", "5000"], ["--param", "h=3"],
+                                   ["--out", "o.json"], ["--n-grid", ""]])
+def test_experiment_config_refuses_single_run_flags(extra, tmp_path, capsys, sieve_calls,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"experiments": [{"id": "two_point", "name": "tp", "params": {"h": 1},
+                            "n_grid": [100]}],
+           "output_dir": str(tmp_path / "reports")}
+    path = tmp_path / "battery.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(path), *extra]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and extra[0] in lines[0]
+    assert sieve_calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["battery.json"]
+
+
 def test_experiment_config_batch(tmp_path, capsys):
     cfg = {
         "experiments": [

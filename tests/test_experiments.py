@@ -29,9 +29,10 @@ from mflab.experiments import (
     two_point_correlation,
     windowed_sum_energy,
 )
-from mflab.sequences import TrigPoly
+from mflab.sequences import BoundedSeq, TrigPoly, correlation_table
 from mflab.sieve import SEGMENT, SignSeq, sieve
-from mflab.summation import CHUNK
+from mflab.summation import BLOCK, CHUNK
+from mflab.symbolic import mirsky_cylinder_density
 
 TAU = 2.0 * math.pi
 
@@ -170,13 +171,66 @@ def test_short_interval_average_matches_brute(mu_window):
         assert short_interval_average(H, X) == total / (H * X), (H, X)
 
 
-def test_short_interval_partial_sums_switch_to_int64_at_2_31():
-    # |partial sum| <= its length, so int32 holds every length below 2**31
-    for length in (1, 4 * 10**6 + 100, 2**31 - 1):
-        assert ex._partial_sum_dtype(length) is np.int32
-        assert np.iinfo(np.int32).max >= length
-    for length in (2**31, 2**31 + 1, 10**12):
-        assert ex._partial_sum_dtype(length) is np.int64
+# N on both sides of one BLOCK (65536) and a few blocks in, with a ragged tail
+BLOCK_NS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+
+
+@pytest.mark.parametrize("N", BLOCK_NS)
+def test_block_kernels_match_int64_references(N, mu_window, lam_window, sq_window):
+    top = 9 * BLOCK  # past every reach below: short_interval's 2N + H
+    mu, lam, sq = (w[:top].astype(np.int64) for w in (mu_window, lam_window, sq_window))
+    assert mobius_exponential_sum(0.0, N) == complex(int(mu[:N].sum()) / N)
+    mask = mu[:N] * sq[1 : 1 + N] * sq[3 : 3 + N]
+    assert squarefree_modulated_sum([1, 3], 0.0, N) == complex(int(mask.sum()) / N)
+    got = squarefree_modulated_sum([1, 3], THETA_STAR, N)
+    assert abs(got - _direct_average(mask, THETA_STAR, N)) < 1e-12
+    for label, w in (("mobius", mu), ("liouville", lam)):
+        product = w[:N] * w[1 : 1 + N] * w[2 : 2 + N] ** 2
+        assert pattern_correlation(Pattern((0, 1, 2), (1, 1, 2)), N, label) == (
+            int(product.sum()) / N)
+    lags = [int(np.sum(lam[:N] * lam[h : h + N])) for h in range(1, 9)]
+    assert two_point_correlation(3, N) == abs(lags[2]) / N
+    assert small_correlation_fraction(8, N, 0.01) == sum(abs(s) <= 0.01 * N for s in lags) / 8
+    for k, h in ((3, 10), (2, 200)):
+        sums = sum(mu[k * l : k * l + N] for l in range(1, h + 1))
+        assert windowed_sum_energy(k, h, N, with_spectral=False)[0] == int(np.sum(sums**2)) / N
+    for H in (1, 100, BLOCK + 5, 2 * BLOCK + 3):
+        csum = np.concatenate(([0], np.cumsum(mu[N : 2 * N + H])))
+        inner = np.abs(csum[H : H + N] - csum[:N])
+        assert short_interval_average(H, N) == int(inner.sum()) / (H * N), H
+    hits = (sq[:N] == 1) & (sq[1 : 1 + N] == 1) & (sq[3 : 3 + N] == 1)
+    hits &= (sq[2 : 2 + N] == 0) & (sq[6 : 6 + N] == 0)
+    got = mirsky_cylinder_density([0, 1, 3], [2, 6], N).empirical
+    assert got == int(np.count_nonzero(hits)) / N
+
+
+def test_block_kernels_allocate_no_window_sized_array(mu_window, lam_window, sq_window):
+    # the windows are grown by the fixtures, so only the kernels' own arrays count
+    N = 2 * 10**6
+    g = BoundedSeq.from_samples(mu_window, label="mobius", sup_bound=1.0)
+    runs = {
+        "mobius_exponential": lambda: mobius_exponential_sum(THETA_STAR, N),
+        "mobius_exponential at 0": lambda: mobius_exponential_sum(0.0, N),
+        "squarefree_shifts": lambda: squarefree_modulated_sum([1, 3], THETA_STAR, N),
+        "squarefree_shifts at 0": lambda: squarefree_modulated_sum([1, 3], 0.0, N),
+        "pattern": lambda: pattern_correlation(Pattern((0, 1, 2), (1, 1, 2)), N),
+        "two_point": lambda: two_point_correlation(3, N),
+        "small_fraction": lambda: small_correlation_fraction(8, N, 0.001),
+        "window_energy h=10": lambda: windowed_sum_energy(3, 10, N, with_spectral=False),
+        "window_energy h=200": lambda: windowed_sum_energy(3, 200, N, with_spectral=False),
+        "short_interval": lambda: short_interval_average(100, N),
+        "mirsky": lambda: mirsky_cylinder_density([0, 1, 3], [2, 6], N),
+        "correlation_table": lambda: correlation_table(g, N, 8),
+    }
+    peaks = {}
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < 1 << 20 for peak in peaks.values()), peaks
 
 
 def test_rotation_orthogonality_is_linear():

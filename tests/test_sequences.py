@@ -90,6 +90,19 @@ def test_int8_windows_outside_the_sign_alphabet_sum_exactly(value):
     assert signs.samples.dtype == np.int8
 
 
+@pytest.mark.parametrize("values, bound", [
+    (np.array([-128, 5], np.int8), 128.0),
+    (np.full(4, -128, np.int8), 128.0),
+    (np.array([3, -7, 2], np.int64), 7.0),
+    (np.array([200, 1], np.uint8), 200.0),
+    (np.array([0.5, -1.5]), 1.5),
+    (np.array([], np.int8), 0.0),
+])
+def test_default_sup_bound_is_the_largest_magnitude(values, bound):
+    # int8 abs(-128) wraps to -128, so the bound is taken from min and max
+    assert BoundedSeq.from_samples(values).sup_bound == bound
+
+
 def test_cross_correlation_of_distinct_rotations_is_geometric():
     alpha, beta = 1.9, 0.4
     g = BoundedSeq.exponential(alpha)
