@@ -31,7 +31,7 @@ from mflab.experiments import (
 )
 from mflab.sequences import BoundedSeq, TrigPoly, correlation_table
 from mflab.sieve import SEGMENT, SignSeq, sieve
-from mflab.summation import BLOCK, CHUNK
+from mflab.summation import BLOCK, CHUNK, lag_sums
 from mflab.symbolic import mirsky_cylinder_density
 
 TAU = 2.0 * math.pi
@@ -202,6 +202,16 @@ def test_block_kernels_match_int64_references(N, mu_window, lam_window, sq_windo
     hits &= (sq[2 : 2 + N] == 0) & (sq[6 : 6 + N] == 0)
     got = mirsky_cylinder_density([0, 1, 3], [2, 6], N).empirical
     assert got == int(np.count_nonzero(hits)) / N
+
+
+def test_lag_sums_take_whole_window_products_at_the_int8_extremes():
+    # every product of -128 and 1 is -128, and (-128)**2 wraps to 0 in int8,
+    # as it does in the whole-window product w[:N] * w[h:h+N]
+    N = 3 * BLOCK + 7
+    w = np.resize(np.array([-128, 1], dtype=np.int8), N + 3)
+    want = [int(np.sum(w[:N] * w[h : h + N], dtype=np.int64)) for h in range(4)]
+    assert lag_sums(w, range(4), 0, N) == want
+    assert want[1] == -128 * N
 
 
 def test_block_kernels_allocate_no_window_sized_array(mu_window, lam_window, sq_window):
