@@ -45,7 +45,7 @@ from .errors import (
 )
 from .sequences import BoundedSeq, TrigPoly
 from .sieve import LABELS, SEGMENT, SignSeq, sieve
-from .summation import BLOCK, CHUNK, KahanAccumulator, block_sum_dtype, lag_sums
+from .summation import BLOCK, CHUNK, KahanAccumulator, lag_sums
 
 # golden-ratio frequency used by the default battery
 THETA_STAR = 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0
@@ -184,8 +184,7 @@ def _block_product(factors: list[np.ndarray], b: int, size: int,
 def _product_sum(factors: list[np.ndarray], N: int) -> int:
     """sum_{j<N} of the product of f[j] over the factors, exactly, one BLOCK at a time."""
     buf = np.empty(min(BLOCK, N), dtype=np.int8)
-    acc = block_sum_dtype(np.int8)
-    return sum(int(np.sum(_block_product(factors, b, min(BLOCK, N - b), buf), dtype=acc))
+    return sum(int(np.sum(_block_product(factors, b, min(BLOCK, N - b), buf), dtype=np.int64))
                for b in range(0, N, BLOCK))
 
 
@@ -333,12 +332,10 @@ def windowed_sum_energy(k: int, h: int, N: int,
         raise InvalidRangeError(f"need k, h, N >= 1, got k={k}, h={h}, N={N}")
     reach = h * k
     mu = sign_window("mobius", N + reach)
-    # |sum| <= h, so up to h = 127 the sums fit int8, their squares int16
-    # and a BLOCK of squares (below 2**30) int32
+    # |sum| <= h, so up to h = 127 the sums fit int8 and their squares int16
     narrow = h <= 127
     sums = np.empty(min(BLOCK, N), dtype=np.int8 if narrow else np.int32)
     squares = np.empty(len(sums), dtype=np.int16 if narrow else np.int64)
-    acc = np.int32 if narrow else np.int64
     total = 0
     for b in range(0, N, BLOCK):
         size = min(BLOCK, N - b)
@@ -347,7 +344,7 @@ def windowed_sum_energy(k: int, h: int, N: int,
         for l in range(1, h + 1):
             part += mu[b + k * l : b + k * l + size]
         np.square(part, out=sq, dtype=sq.dtype)
-        total += int(np.sum(sq, dtype=acc))
+        total += int(np.sum(sq, dtype=np.int64))
     direct = total / N
     if not with_spectral:
         return direct, None

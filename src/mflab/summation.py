@@ -47,13 +47,6 @@ def index_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:
         yield np.arange(start, min(start + CHUNK, hi), dtype=np.int64)
 
 
-def block_sum_dtype(dtype) -> type:
-    """Accumulator for the sum of one BLOCK of values of dtype: int32 for
-    one-byte values, whose block sums stay below 2**16 * 2**8 = 2**24 in
-    magnitude, and int64 otherwise.  int32 sums a block about twice as fast."""
-    return np.int32 if np.dtype(dtype).itemsize == 1 else np.int64
-
-
 def lag_sums(w: np.ndarray, lags, start: int, stop: int) -> list[int]:
     """[sum_{j=start..stop-1} w[j] * w[j+h] for h in lags], as Python ints.
 
@@ -64,11 +57,10 @@ def lag_sums(w: np.ndarray, lags, start: int, stop: int) -> list[int]:
     lags = list(lags)
     totals = [0] * len(lags)
     buf = np.empty(min(BLOCK, max(stop - start, 0)), dtype=w.dtype)
-    acc = block_sum_dtype(w.dtype)
     for b in range(start, stop, BLOCK):
         size = min(BLOCK, stop - b)
         base, prod = w[b : b + size], buf[:size]
         for i, h in enumerate(lags):
             np.multiply(base, w[b + h : b + h + size], out=prod)
-            totals[i] += int(np.sum(prod, dtype=acc))
+            totals[i] += int(np.sum(prod, dtype=np.int64))
     return totals
