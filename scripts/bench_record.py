@@ -13,7 +13,9 @@ sample per metric: its median over passes.  Each round also times, per
 checkout, SIEVE_SAMPLES sieve passes over [1, 1e8] that fill all three
 labels, each in a fresh process, the layer samples layers.sieve_1e8_s
 (every one is recorded; a single pass a round spread too widely to show
-a sieve change below about 20%), and one read_cache of a
+a sieve change below about 20%), one all-label sieve of the
+FAR_WIDTH indices from FAR_LO, also in a fresh process, the layer sample
+layers.far_window_1e14_s, and one read_cache of a
 mobius cache file of 1e7 values that another process wrote just before,
 the layer sample layers.cache_read_1e7_s.  It also times three commands end
 to end, each in a fresh process and with start-up included:
@@ -50,6 +52,7 @@ WORKLOADS = ("battery_cold", "lab_cached")
 SEEDS = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 SIEVE_TOP = 10**8
 SIEVE_SAMPLES = 3  # fresh-process sieve timings per checkout and round
+FAR_LO, FAR_WIDTH = 10**14, 2**16  # a short window far out: base primes up to 1e7
 CACHE_LENGTH = 10**7
 RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
                          .read_text())["run_seconds"]
@@ -73,16 +76,16 @@ def run_python(checkout: Path, script: str) -> str:
     return proc.stdout
 
 
-def time_sieve(checkout: Path) -> float:
-    """Seconds of one all-label sieve over [1, SIEVE_TOP], in a fresh process."""
+def time_sieve(checkout: Path, lo: int, hi: int) -> float:
+    """Seconds of one all-label sieve over [lo, hi), in a fresh process."""
     return float(run_python(checkout, (
         "import time\n"
         "import numpy as np\n"
         "from mflab.sieve import sieve\n"
-        f"hi = {SIEVE_TOP} + 1\n"
-        "out = {name: np.empty(hi - 1, dtype=np.int8) for name in ('liouville', 'squarefree')}\n"
+        f"lo, hi = {lo}, {hi}\n"
+        "out = {name: np.empty(hi - lo, dtype=np.int8) for name in ('liouville', 'squarefree')}\n"
         "t = time.perf_counter()\n"
-        "sieve('mobius', 1, hi, out=out)\n"
+        "sieve('mobius', lo, hi, out=out)\n"
         "print(time.perf_counter() - t)\n")))
 
 
@@ -171,7 +174,8 @@ def main() -> int:
                      "seeds": list(SEEDS), "seconds": RUN_SECONDS,
                      "runs": [], "metrics": {},
                      "layers": {name: {"unit": "s", "samples": []}
-                                for name in ("sieve_1e8_s", "cache_read_1e7_s",
+                                for name in ("sieve_1e8_s", "far_window_1e14_s",
+                                             "cache_read_1e7_s",
                                              "experiment_1e7_s", "decay_battery_s",
                                              "tier1_s")}}
                for tag, path in checkouts.items()}
@@ -196,10 +200,13 @@ def main() -> int:
                           f"run_s {result['metrics'].get('run_s', {}).get('value')}, "
                           f"failed {result['failed']}", flush=True)
             layers = records[tag]["layers"]
-            samples = [time_sieve(checkouts[tag]) for _ in range(SIEVE_SAMPLES)]
+            samples = [time_sieve(checkouts[tag], 1, SIEVE_TOP + 1) for _ in range(SIEVE_SAMPLES)]
             layers["sieve_1e8_s"]["samples"].extend(samples)
             print(f"round {r} {tag} sieve [1, 1e8]: "
                   f"{', '.join(f'{x:.3f}' for x in samples)} s", flush=True)
+            seconds = time_sieve(checkouts[tag], FAR_LO, FAR_LO + FAR_WIDTH)
+            layers["far_window_1e14_s"]["samples"].append(seconds)
+            print(f"round {r} {tag} sieve 2^16 at 1e14: {seconds:.3f} s", flush=True)
             seconds = time_cache_read(checkouts[tag])
             layers["cache_read_1e7_s"]["samples"].append(seconds)
             print(f"round {r} {tag} read_cache 1e7: {seconds:.4f} s", flush=True)

@@ -208,7 +208,8 @@ def _compare_golden(report, golden: dict) -> list[str]:
 def exit_code(exc: Exception) -> int:
     """Print the one-line message for an error that refused a run and
     return its exit code: EXIT_CACHE for a malformed or corrupt cache,
-    EXIT_CONFIG for any other ValueError, OverflowError or OSError."""
+    EXIT_CONFIG for any other ValueError, OverflowError, OSError or
+    MemoryError (an array larger than the machine grants)."""
     if isinstance(exc, (CacheFormatError, CacheChecksumError)):
         print(f"cache error: {exc}")
         return EXIT_CACHE
@@ -240,7 +241,7 @@ def run(config: RunConfig) -> int:
             report.write(out_dir / f"{spec.name}.json")
             for problem in _compare_golden(report, goldens.get(spec.name, {})):
                 failures.append(f"{spec.name}: {problem}")
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
         return exit_code(exc)
     for line in failures:
         print(f"tolerance failure: {line}")

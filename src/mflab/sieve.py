@@ -30,13 +30,12 @@ So 3k is one threshold per power-of-two band of a segment, and a segment
 crosses at most two bands, except the one that starts at 1.
 
 The powers 2, 4, 8, 3, 9, 5, 7 and 11 are not sieved per segment: sieve()
-builds their word and flag once as a pattern of period
-WHEEL = 8*9*5*7*11 = 27720, and each segment starts as a copy of it at
-offset lo mod WHEEL.  That is why a leftover q is at least 13.  A wheel
-prime above a segment's root bound is marked too, which is harmless: its
-square exceeds every n there, so marking it gives what the leftover step
-would.  The segment buffers are allocated once per call and refilled by
-that copy.
+builds their word and flag for one period of
+WHEEL = 8*9*5*7*11 = 27720 indices, and every segment [s, e) is tiled
+from that period at offset s mod WHEEL.  That is why a leftover q is at
+least 13.  A wheel prime above a segment's root bound is marked too, which
+is harmless: its square exceeds every n there, so marking it gives what
+the leftover step would.  The segment buffers are allocated once per call.
 
 Indices are 1-based and 64-bit throughout (MAX_INDEX).  Ranges are half
 open: [lo, hi) covers lo, lo+1, ..., hi-1.  sieve() takes hi up to
@@ -223,9 +222,9 @@ def _log_weight(p: int) -> int:
     return (p**4).bit_length() - 1
 
 
-def _wheel(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(word, squarefree) of the WHEEL_POWERS alone for n = 0..length-1:
-    one period of WHEEL entries, repeated, so entry j serves every n = j mod WHEEL."""
+def _wheel() -> tuple[np.ndarray, np.ndarray]:
+    """(word, squarefree) of the WHEEL_POWERS alone for n = 0..WHEEL-1: one
+    period, whose entry j serves every n = j mod WHEEL."""
     word = np.zeros(WHEEL, dtype=WORD)
     squarefree = np.ones(WHEEL, dtype=np.int8)
     for p, cap in WHEEL_POWERS.items():
@@ -236,28 +235,39 @@ def _wheel(length: int) -> tuple[np.ndarray, np.ndarray]:
             if q == p * p:
                 squarefree[::q] = 0
             q *= p
-    return np.resize(word, length), np.resize(squarefree, length)
+    return word, squarefree
+
+
+def _tile(period: np.ndarray, offset: int, out: np.ndarray) -> None:
+    """Fill the contiguous out with period[(offset + j) % len(period)]: a head
+    slice up to the period's end, whole periods in one broadcast copy, a tail."""
+    size, n = len(out), len(period)
+    head = min(n - offset, size)
+    out[:head] = period[offset : offset + head]
+    rows = (size - head) // n
+    out[head : head + rows * n].reshape(rows, n)[:] = period
+    out[head + rows * n :] = period[: size - head - rows * n]
 
 
 def _segments(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Yield (s, e, count, squarefree) for each segment [s, e) of [lo, hi).
+    """Yield (s, e, word, squarefree) for each segment [s, e) of [lo, hi).
 
-    count is the packed counter, a strided uint8 view of the words' high
-    bytes, and squarefree the int8 flag of the module docstring.  Both are
-    scratch that the next segment overwrites.
+    word holds the uint16 words of the module docstring, with the leftover
+    prime counted, and squarefree the int8 flag.  Both are scratch that the
+    next segment overwrites.
     """
     primes = primes_upto(isqrt(hi - 1)).values.tolist()
+    wheel_word, wheel_sq = _wheel()
     width = min(SEGMENT, hi - lo)
-    wheel_word, wheel_sq = _wheel(WHEEL + width)
     word = np.empty(width, dtype=WORD)
     squarefree = np.empty(width, dtype=np.int8)
-    leftover = np.empty(width, dtype=bool)
+    scratch = np.empty(width, dtype=WORD)
     for s in range(lo, hi, SEGMENT):
         e = min(s + SEGMENT, hi)
         size = e - s
-        w, sq, left = word[:size], squarefree[:size], leftover[:size]
-        w[:] = wheel_word[s % WHEEL : s % WHEEL + size]
-        sq[:] = wheel_sq[s % WHEEL : s % WHEEL + size]
+        w, sq, t = word[:size], squarefree[:size], scratch[:size]
+        _tile(wheel_word, s % WHEEL, w)
+        _tile(wheel_sq, s % WHEEL, sq)
         top = isqrt(e - 1)
         for p in primes:
             if p > top:
@@ -281,16 +291,15 @@ def _segments(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarr
                 w[start::q] += (16 << 8) + log
         # Below 3k on the band [2**k, 2**(k+1)), the log byte leaves exactly
         # one prime factor above top unmarked; it is simple, so it adds 17
-        # like any first power.
-        pair = w.view(np.uint8)  # little-endian: low byte first
-        logs, count = pair[0::2], pair[1::2]
+        # like any first power.  17 << 8 wraps the high byte mod 256 and
+        # leaves the log byte alone.
+        np.bitwise_and(w, 0xFF, out=t)
         for k in range(s.bit_length() - 1, (e - 1).bit_length()):
             a, b = max(s, 1 << k) - s, min(e, 2 << k) - s
-            np.less(logs[a:b], 3 * k, out=left[a:b])
-        bump = left.view(np.uint8)
-        bump *= 17
-        count += bump
-        yield s, e, count, sq
+            np.less(t[a:b], 3 * k, out=t[a:b], casting="unsafe")
+        t *= 17 << 8
+        w += t
+        yield s, e, w, sq
 
 
 def sieve(label: str, lo: int, hi: int,
@@ -332,19 +341,17 @@ def sieve(label: str, lo: int, hi: int,
     if label not in targets:
         targets[label] = np.empty(hi - lo, dtype=np.int8)
 
-    for s, e, count, squarefree in _segments(lo, hi):
+    for s, e, words, squarefree in _segments(lo, hi):
         for name, arr in targets.items():
             dst = arr[s - lo : e - lo]
             if name == "squarefree":
                 dst[:] = squarefree
                 continue
-            # a parity bit b becomes the sign 1 - 2b; mobius is masked by squarefree
-            bit = dst.view(np.uint8)
-            if name == "liouville":
-                np.right_shift(count, 4, out=bit)
-                np.bitwise_and(bit, 1, out=bit)
-            else:
-                np.bitwise_and(count, 1, out=bit)
+            # a parity bit b (word bit 8: omega, bit 12: Omega) becomes the
+            # sign 1 - 2b; mobius is masked by squarefree
+            np.right_shift(words, 12 if name == "liouville" else 8, out=dst.view(np.uint8),
+                           casting="unsafe")
+            dst &= 1
             dst *= -2
             dst += 1
             if name == "mobius":

@@ -364,6 +364,17 @@ def test_sieve_invalid_range_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "x.bin")]) == 2
 
 
+def test_sieve_too_large_for_memory_exits_two(tmp_path, capsys):
+    # numpy refuses the 90.9 TiB output array outright, before any page is
+    # touched; no machine's overcommit grants it
+    out = tmp_path / "x.bin"
+    assert main(["sieve", "--label", "mobius", "--lo", "1", "--hi", str(10**14),
+                 "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mflab.cli", "admissible", "--set", "0,1"],

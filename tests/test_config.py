@@ -168,6 +168,18 @@ def test_allow_large_raises_the_limit_for_its_batch_only(tmp_path, monkeypatch, 
     assert seen[0] > SEGMENT and store.limit == SEGMENT
 
 
+def test_run_maps_memory_error_to_config_exit(tmp_path, monkeypatch, capsys):
+    def refuse(h, X):
+        raise MemoryError("Unable to allocate 90.9 TiB")
+
+    monkeypatch.setattr(ex, "two_point_correlation", refuse)
+    cfg = RunConfig(experiments=[ExperimentSpec("two_point", "tp", {"h": 1}, [100])],
+                    output_dir=str(tmp_path / "out"))
+    assert run(cfg) == EXIT_CONFIG
+    assert capsys.readouterr().out == "error: Unable to allocate 90.9 TiB\n"
+    assert not (tmp_path / "out" / "tp.json").exists()
+
+
 def test_checked_in_batches_parse_without_allow_large():
     load_config(Path(__file__).resolve().parent.parent / "configs" / "decay_battery.json")
     spec = importlib.util.spec_from_file_location(
@@ -267,6 +279,7 @@ def test_malformed_golden_file_exits_two_before_any_window(golden, tmp_path, fre
     (ValueError("bad value"), EXIT_CONFIG, "error: bad value"),
     (OverflowError("too big"), EXIT_CONFIG, "error: too big"),
     (NotADirectoryError("not a dir"), EXIT_CONFIG, "error: not a dir"),
+    (MemoryError("Unable to allocate 90.9 TiB"), EXIT_CONFIG, "error: Unable to allocate 90.9 TiB"),
 ])
 def test_exit_code_maps_each_error_family(exc, code, line, capsys):
     assert exit_code(exc) == code

@@ -20,6 +20,8 @@ from mflab.sieve import (
     WHEEL,
     PrimeBasis,
     _log_weight,
+    _tile,
+    _wheel,
     MILLER_RABIN_LIMIT,
     factor_oracle,
     is_prime,
@@ -55,6 +57,19 @@ def test_primes_upto_memory_is_one_table_and_one_prime_array():
     assert primes.dtype == np.int64 and len(primes) == 664_579
     # the bool flag table plus the primes; a second int64 copy would add 5 MiB
     assert peak < (bound + 1) + primes.nbytes + 2**20
+
+
+def test_sieve_scratch_memory_is_five_bytes_per_segment_index():
+    lo, hi = 1, 3 * SEGMENT + 1
+    out = {label: np.empty(hi - lo, dtype=np.int8) for label in LABELS}
+    tracemalloc.start()
+    try:
+        sieve("mobius", lo, hi, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the uint16 words, one uint16 scratch and the int8 flag of one segment
+    assert peak < 5 * SEGMENT + 2**18
 
 
 def test_is_prime_agrees_with_the_oracle():
@@ -188,6 +203,25 @@ def test_kernel_edges_match_oracle(lo, hi):
     out = _all_labels(lo, hi)
     for i, n in enumerate(range(lo, hi)):
         assert _labels_at(out, i) == oracle_values(n), n
+
+
+def _check_tile(offset: int, size: int) -> None:
+    for period in _wheel():
+        out = np.empty(size, dtype=period.dtype)
+        _tile(period, offset, out)
+        assert np.array_equal(out, period[(offset + np.arange(size)) % WHEEL]), (offset, size)
+
+
+@pytest.mark.parametrize("offset", [0, 1, WHEEL - 1])
+def test_wheel_tiling_matches_the_period_modulo_wheel(offset):
+    for size in (1, WHEEL - offset, WHEEL - offset + 1, 3 * WHEEL + 5, SEGMENT):
+        _check_tile(offset, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, WHEEL - 1), st.integers(1, 4 * WHEEL))
+def test_wheel_tiling_sweep(offset, size):
+    _check_tile(offset, size)
 
 
 def test_multi_segment_window_off_the_wheel_matches_oracle():
