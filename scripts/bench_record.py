@@ -15,9 +15,12 @@ labels, each in a fresh process, the layer samples layers.sieve_1e8_s
 (every one is recorded; a single pass a round spread too widely to show
 a sieve change below about 20%), one all-label sieve of the
 FAR_WIDTH indices from FAR_LO, also in a fresh process, the layer sample
-layers.far_window_1e14_s, and one read_cache of a
+layers.far_window_1e14_s, one read_cache of a
 mobius cache file of 1e7 values that another process wrote just before,
-the layer sample layers.cache_read_1e7_s.  It also times three commands end
+the layer sample layers.cache_read_1e7_s, and the lag correlations
+correlation_table(mobius, 1e6, 128) plus small_correlation_fraction(8,
+1e7, 0.001) on windows sieved to 1e7 before the clock starts, also in a
+fresh process, the layer sample layers.lag_sums_s.  It also times three commands end
 to end, each in a fresh process and with start-up included:
 `mfl experiment --id mobius_exponential --n-grid 10000000`
 (layers.experiment_1e7_s), scripts/decay_battery.py against its goldens
@@ -54,6 +57,7 @@ SIEVE_TOP = 10**8
 SIEVE_SAMPLES = 3  # fresh-process sieve timings per checkout and round
 FAR_LO, FAR_WIDTH = 10**14, 2**16  # a short window far out: base primes up to 1e7
 CACHE_LENGTH = 10**7
+LAG_X = 10**7  # window of the lag-sum sample; its sieve is not timed
 RUN_SECONDS = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
                          .read_text())["run_seconds"]
 
@@ -104,6 +108,22 @@ def time_cache_read(checkout: Path) -> float:
             "t = time.perf_counter()\n"
             f"read_cache({path!r})\n"
             "print(time.perf_counter() - t)\n")))
+
+
+def time_lag_sums(checkout: Path) -> float:
+    """Seconds of correlation_table(mobius, 1e6, 128) plus
+    small_correlation_fraction(8, LAG_X, 0.001), in a fresh process whose
+    windows are sieved before the clock starts."""
+    return float(run_python(checkout, (
+        "import time\n"
+        "from mflab.experiments import sign_window, small_correlation_fraction\n"
+        "from mflab.sequences import BoundedSeq, correlation_table\n"
+        f"mu = sign_window('mobius', {LAG_X} + 8)  # fills all three labels\n"
+        "g = BoundedSeq.from_samples(mu[: 10**6 + 128], label='mobius', sup_bound=1.0)\n"
+        "t = time.perf_counter()\n"
+        "correlation_table(g, 10**6, 128)\n"
+        f"small_correlation_fraction(8, {LAG_X}, 0.001)\n"
+        "print(time.perf_counter() - t)\n")))
 
 
 def time_command(checkout: Path, *args: str) -> float:
@@ -175,7 +195,7 @@ def main() -> int:
                      "runs": [], "metrics": {},
                      "layers": {name: {"unit": "s", "samples": []}
                                 for name in ("sieve_1e8_s", "far_window_1e14_s",
-                                             "cache_read_1e7_s",
+                                             "cache_read_1e7_s", "lag_sums_s",
                                              "experiment_1e7_s", "decay_battery_s",
                                              "tier1_s")}}
                for tag, path in checkouts.items()}
@@ -210,6 +230,9 @@ def main() -> int:
             seconds = time_cache_read(checkouts[tag])
             layers["cache_read_1e7_s"]["samples"].append(seconds)
             print(f"round {r} {tag} read_cache 1e7: {seconds:.4f} s", flush=True)
+            seconds = time_lag_sums(checkouts[tag])
+            layers["lag_sums_s"]["samples"].append(seconds)
+            print(f"round {r} {tag} lag sums: {seconds:.4f} s", flush=True)
             for name, timer in (("experiment_1e7_s", time_experiment),
                                 ("decay_battery_s", time_battery), ("tier1_s", time_tier1)):
                 seconds = timer(checkouts[tag])

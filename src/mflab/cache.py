@@ -18,6 +18,7 @@ values, while verify-aware readers use the CRC to reject corruption.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -94,16 +95,17 @@ def write_cache(path: str | Path, seq: SignSeq) -> None:
     Path(path).write_bytes(body + struct.pack("<I", crc))
 
 
-def read_cache(path: str | Path) -> SignSeq:
-    """Read and fully validate a cache file.
+def read_header(path: str | Path) -> tuple[str, int, int]:
+    """(label, start, length) of a cache file, checked as read_cache checks
+    them, without reading the payload."""
+    with open(path, "rb") as fh:
+        return _parse_header(fh.read(_HEADER.size), os.fstat(fh.fileno()).st_size)
 
-    Raises:
-        CacheFormatError: malformed header, length mismatch, or bad codes.
-        CacheChecksumError: CRC mismatch (any flipped byte trips this).
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size + 4:
-        raise CacheFormatError(f"file too short ({len(blob)} bytes)")
+
+def _parse_header(blob, size: int) -> tuple[str, int, int]:
+    """(label, start, length) from the header at the front of blob, whose file has size bytes."""
+    if size < _HEADER.size + 4:
+        raise CacheFormatError(f"file too short ({size} bytes)")
     magic, code, start, length = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise CacheFormatError(f"bad magic {magic!r}")
@@ -112,14 +114,25 @@ def read_cache(path: str | Path) -> SignSeq:
     if start < 1:
         raise CacheFormatError(f"start index {start} below 1")
     expected = _HEADER.size + (length + 3) // 4 + 4
-    if len(blob) != expected:
-        raise CacheFormatError(f"file is {len(blob)} bytes, header implies {expected}")
+    if size != expected:
+        raise CacheFormatError(f"file is {size} bytes, header implies {expected}")
+    return _CODE_LABELS[code], start, length
+
+
+def read_cache(path: str | Path) -> SignSeq:
+    """Read and fully validate a cache file.
+
+    Raises:
+        CacheFormatError: malformed header, length mismatch, or bad codes.
+        CacheChecksumError: CRC mismatch (any flipped byte trips this).
+    """
+    blob = Path(path).read_bytes()
+    label, start, length = _parse_header(blob, len(blob))
     body = memoryview(blob)[:-4]  # views, so the payload is never copied
     crc = struct.unpack_from("<I", blob, len(body))[0]
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise CacheChecksumError(f"checksum mismatch in {path}")
-    values = unpack_signs(body[_HEADER.size :], length)
-    return SignSeq(_CODE_LABELS[code], start, values)
+    return SignSeq(label, start, unpack_signs(body[_HEADER.size :], length))
 
 
 def cache_verify(path: str | Path) -> bool:

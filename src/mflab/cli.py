@@ -8,8 +8,9 @@ paths, 3 corrupt sieve cache.
 The commands that read sign windows (correlate, spectrum, mirsky and
 experiment) first load every cache file in MFL_CACHE_DIR, when set (see
 load_caches), and read their windows through experiments.sign_window, so
-a window longer than experiments.WINDOW_LIMIT exits 2 before anything is
-sieved; only a batch config's allow_large raises that limit.  A batch
+a window longer than experiments.WINDOW_LIMIT, or a cache file in
+MFL_CACHE_DIR longer than it, exits 2 before anything is sieved or
+decoded; only a batch config's allow_large raises that limit.  A batch
 config's own cache_dir takes the place of MFL_CACHE_DIR.  sieve writes
 [lo, hi) directly.  Errors map to exit codes through config.exit_code.
 """

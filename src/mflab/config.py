@@ -30,7 +30,9 @@ for short_interval): no window grows past experiments.WINDOW_LIMIT
 sixth of the physical memory.  The check is made by the window store when
 a window must grow, before anything is sieved, so a batch stops with
 exit 2 at the first entry whose window would pass the limit; the reports
-of the entries before it stay written.
+of the entries before it stay written.  A cache in cache_dir longer than
+that limit (raised alike by allow_large) exits 2 before any payload is
+read.
 
 Values are typed as in JSON: output_dir is a string, cache_dir and
 golden_file a string or null, allow_large true or false, n_grid a list of
@@ -228,7 +230,7 @@ def run(config: RunConfig) -> int:
         _check_specs(config.experiments)
         goldens = {} if config.golden_file is None else _load_goldens(config.golden_file)
         if config.cache_dir is not None:
-            load_caches(config.cache_dir)
+            load_caches(config.cache_dir, allow_large=config.allow_large)
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         failures: list[str] = []

@@ -8,9 +8,9 @@ arithmetic and divided once at the end.  Modulated averages
 exp(i theta (n0 + j)) = exp(i theta n0) exp(i theta j): a small matrix
 product with one table of exp(i theta j), j < ROW, sums each row of ROW
 terms, and each row sum is turned by its phase exp(i theta n0) (see
-_modulated_average, which gives the measured error: up to 4.5 times that
-of one float64 exp per term at N = 1e7); the float64 row starts n0 are
-exact below 2**53.  Each EXPERIMENTS entry checks and converts an
+summation.modulated_average, which gives the measured error: up to 4.5
+times that of one float64 exp per term at N = 1e7); the float64 row starts
+n0 are exact below 2**53.  Each EXPERIMENTS entry checks and converts an
 experiment's params once per report (see build_experiment), refusing
 unknown or missing names and any value of the wrong type or range.
 Reports are JSON with sorted keys, so identical configurations produce
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cache import read_cache
+from .cache import read_cache, read_header
 from .errors import (
     AllSquaredError,
     CacheFormatError,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .sequences import BoundedSeq, TrigPoly
 from .sieve import LABELS, SEGMENT, SignSeq, sieve
-from .summation import BLOCK, CHUNK, KahanAccumulator, lag_sums
+from .summation import BLOCK, lag_sums, modulated_average, product_sum
 
 # golden-ratio frequency used by the default battery
 THETA_STAR = 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0
@@ -54,9 +54,10 @@ DEFAULT_GRID = (10**5, 10**6, 10**7)
 # longest window a store grows to unless allow_large raises it: 32 segments,
 # above short_interval's 2X + H = 3e7 at X = H = 1e7
 WINDOW_LIMIT = 1 << 25
-
-# _modulated_average: terms per row of the phase table
-ROW = 1 << 10
+# what allow_large raises a lower limit to, for run_experiment and load_caches:
+# a sixth of the physical memory, as three int8 labels are held with the old
+# and the grown arrays together while a window grows
+LARGE_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 6
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +139,7 @@ def sign_window(label: str, hi: int) -> np.ndarray:
     return WINDOWS.get(label, hi)
 
 
-def load_caches(directory: str | Path) -> None:
+def load_caches(directory: str | Path, allow_large: bool = False) -> None:
     """Verify every *.bin file in directory, in sorted order, then adopt each
     window for the label in its header, whatever the file name.
 
@@ -147,89 +148,29 @@ def load_caches(directory: str | Path) -> None:
     file raises CacheFormatError or CacheChecksumError.  CacheFormatError
     also names a file whose window does not start at n = 1 or whose label
     is not one of LABELS, and is raised for a path that is not an existing
-    directory or holds no *.bin file.
+    directory or holds no *.bin file.  A file whose window is longer than
+    the store's limit, or than LARGE_LIMIT under allow_large, raises
+    WindowLimitError.  Every header is checked before any payload is read.
     """
     if not Path(directory).is_dir():
         raise CacheFormatError(f"cache directory {str(directory)!r} is not an existing directory")
     paths = sorted(Path(directory).glob("*.bin"))
     if not paths:
         raise CacheFormatError(f"cache directory {str(directory)!r} holds no *.bin file")
-    seqs = []
+    limit = max(WINDOWS.limit, LARGE_LIMIT) if allow_large else WINDOWS.limit
     for path in paths:
-        # names looked up per call, so tracing wrappers and test stores apply
-        seq = read_cache(path)
-        if seq.label not in LABELS or seq.start != 1:
+        label, start, length = read_header(path)
+        if label not in LABELS or start != 1:
             raise CacheFormatError(
                 f"{path}: a cache window must start at n = 1 with a label in {LABELS}, "
-                f"got label {seq.label!r} starting at {seq.start}")
-        seqs.append(seq)
+                f"got label {label!r} starting at {start}")
+        if length > limit:
+            raise WindowLimitError(f"{path}: a {label} cache of {length} values passes the "
+                                   f"limit of {limit}; set allow_large in a config to raise it")
+    # names looked up per call, so tracing wrappers and test stores apply
+    seqs = [read_cache(path) for path in paths]
     for seq in seqs:
         WINDOWS.adopt(seq)
-
-
-def _block_product(factors: list[np.ndarray], b: int, size: int,
-                   out: np.ndarray) -> np.ndarray:
-    """Entries b..b+size-1 of the product of the factors, in their dtype: a
-    view of the one factor, else written into out[:size]."""
-    first, *rest = factors
-    if not rest:
-        return first[b : b + size]
-    part = out[:size]
-    np.multiply(first[b : b + size], rest[0][b : b + size], out=part)
-    for f in rest[1:]:
-        np.multiply(part, f[b : b + size], out=part)
-    return part
-
-
-def _product_sum(factors: list[np.ndarray], N: int) -> int:
-    """sum_{j<N} of the product of f[j] over the factors, exactly, one BLOCK at a time."""
-    buf = np.empty(min(BLOCK, N), dtype=np.int8)
-    return sum(int(np.sum(_block_product(factors, b, min(BLOCK, N - b), buf), dtype=np.int64))
-               for b in range(0, N, BLOCK))
-
-
-def _modulated_average(factors: list[np.ndarray], theta: float, N: int) -> complex:
-    """(1/N) * sum_{n=1..N} mask[n-1] * exp(i n theta), exact when theta = 0,
-    where mask is the product of the int8 factors, formed one BLOCK at a time.
-
-    Uses exp(i theta (n0 + j)) = exp(i theta n0) * exp(i theta j): the
-    mask is cut into rows of ROW consecutive terms starting at n0, one
-    product with a (ROW, 2) table of cos(theta j), sin(theta j), j < ROW,
-    sums every row of a BLOCK-sized piece, and each row sum is turned by
-    its row phase exp(i theta n0).  The turned row sums are summed per
-    CHUNK and the chunk totals folded with Kahan compensation.  The phase
-    theta*n0 is rounded once per row; the float64 row starts n0 are exact
-    below 2**53.
-
-    Measured error, for the Mobius window against a reference that sums
-    mobius(n) * exp(i n theta) with x87 longdouble phases and cos/sin at the
-    same float theta (numpy 2.4, x86_64): at theta = 2*pi*0.6180339887498949
-    the result was off by 2.1e-14 at N = 1e6 and 6.2e-13 at N = 1e7, where
-    one float64 exp per term was off by 1.5e-14 and 1.4e-13, so up to 4.5
-    times worse.  At 0.251 and 0.1234567 turns it was 0.4 to 1.4 times the
-    per-term error (at most 6.8e-14).
-    """
-    if theta == 0.0:
-        return complex(_product_sum(factors, N) / N)
-    j = theta * np.arange(ROW, dtype=np.float64)
-    table = np.stack((np.cos(j), np.sin(j)), axis=1)
-    buf = np.empty(BLOCK, dtype=np.float64)  # reused for every piece
-    mask = np.empty(BLOCK, dtype=np.int8)
-    acc = KahanAccumulator()
-    for lo in range(0, N, CHUNK):
-        hi = min(lo + CHUNK, N)
-        sums = np.empty((-(-(hi - lo) // ROW), 2))  # (cos, sin) sum per row
-        for b in range(lo, hi, BLOCK):
-            size = min(BLOCK, hi - b)
-            rows = -(-size // ROW)
-            buf[:size] = _block_product(factors, b, size, mask)
-            buf[size : rows * ROW] = 0.0
-            first = (b - lo) // ROW
-            np.matmul(buf[: rows * ROW].reshape(rows, ROW), table,
-                      out=sums[first : first + rows])
-        starts = np.arange(lo + 1, hi + 1, ROW, dtype=np.float64)
-        acc.add(np.sum(np.exp(1j * theta * starts) * (sums[:, 0] + 1j * sums[:, 1])))
-    return acc.total / N
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +181,7 @@ def mobius_exponential_sum(theta: float, N: int) -> complex:
     """(1/N) * sum_{n<=N} mobius(n) * exp(i n theta)."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
-    return _modulated_average([sign_window("mobius", N)], theta, N)
+    return modulated_average([sign_window("mobius", N)], theta, N)
 
 
 def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
@@ -255,7 +196,7 @@ def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
     # the longer window first: one pass fills both, or the limit refuses before any sieving
     sq = sign_window("squarefree", N + reach)
     mu = sign_window("mobius", N)
-    return _modulated_average([mu] + [sq[a:] for a in shifts], theta, N)
+    return modulated_average([mu] + [sq[a:] for a in shifts], theta, N)
 
 
 @dataclass(frozen=True)
@@ -289,7 +230,7 @@ def pattern_correlation(pattern: Pattern, N: int, label: str = "mobius") -> floa
     reach = max(pattern.shifts)
     w = sign_window(label, N + reach)
     factors = [w[a:] for a, e in zip(pattern.shifts, pattern.exponents) for _ in range(e)]
-    return _product_sum(factors, N) / N
+    return product_sum(factors, N) / N
 
 
 def two_point_correlation(h: int, X: int) -> float:
@@ -532,9 +473,8 @@ def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None, *,
     window is read; so do an empty grid and a grid entry that is not an
     integer >= 1 (only grid=None selects DEFAULT_GRID).  A window longer
     than the store's limit raises WindowLimitError.
-    allow_large raises that limit, for this call only, to a sixth of the
-    physical memory: three int8 labels, with the old and the grown arrays
-    held together while a window grows.  Every experiment streams its
+    allow_large raises that limit, for this call only, to LARGE_LIMIT
+    if that is more.  Every experiment streams its
     windows in BLOCK slices, so past the windows a run holds O(BLOCK)
     bytes, and the index limit bounds the bytes too.  The report carries the params
     exactly as passed; the checksum covers the id, the params and the
@@ -548,7 +488,7 @@ def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None, *,
     checksum = input_checksum(exp_id, params, grid)
     store, limit = WINDOWS, WINDOWS.limit  # looked up per call, so a swapped-in store applies
     if allow_large:
-        store.limit = max(limit, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 6)
+        store.limit = max(limit, LARGE_LIMIT)
     t0 = time.perf_counter()
     try:
         values = [complex(run(N)) for N in grid]

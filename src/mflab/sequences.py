@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidRangeError, LagTooLargeError
-from .summation import KahanAccumulator, index_chunks, lag_sums
+from .summation import BLOCK, KahanAccumulator, index_chunks, lag_sums
 
 
 @dataclass
@@ -143,10 +143,14 @@ def correlation_table(g: BoundedSeq, N: int, K: int) -> CorrelationTable:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
     if K < 0 or K >= N:
         raise LagTooLargeError(f"need 0 <= K < N, got K={K}, N={N}")
-    vals = np.empty(K + 1, dtype=np.complex128)
-    for k in range(K + 1):
-        vals[k] = _window_products_sum(g, k, 1, N + 1) / N
-    return CorrelationTable(N, K, vals)
+    if g.samples is None:
+        vals = [_window_products_sum(g, k, 1, N + 1) / N for k in range(K + 1)]
+    elif N + K > len(g.samples):
+        raise InvalidRangeError("window with lag runs past the sampled data")
+    else:
+        # one lag_sums call, so each span of the window is read once for all lags
+        vals = [float(s) / N for s in lag_sums(g.samples, range(K + 1), 0, N)]
+    return CorrelationTable(N, K, np.array(vals, dtype=np.complex128))
 
 
 def cross_correlation(g: BoundedSeq, h: BoundedSeq, N: int) -> complex:
@@ -156,8 +160,10 @@ def cross_correlation(g: BoundedSeq, h: BoundedSeq, N: int) -> complex:
     if g.samples is not None and h.samples is not None:
         if N > len(g.samples) or N > len(h.samples):
             raise InvalidRangeError("window runs past the sampled data")
-        s = np.sum(g.samples[:N] * h.samples[:N], dtype=np.int64)
-        return complex(int(s) / N)
+        gs, hs = g.samples[:N], h.samples[:N]
+        s = sum(int(np.sum(gs[b : b + BLOCK] * hs[b : b + BLOCK], dtype=np.int64))
+                for b in range(0, N, BLOCK))
+        return complex(s / N)
     acc = KahanAccumulator()
     for idx in index_chunks(1, N + 1):
         acc.add(np.sum(g.eval(idx) * np.conj(h.eval(idx))))

@@ -336,6 +336,41 @@ def test_run_refuses_unusable_cache_dir(tmp_path, unusable_cache_dir, fresh_wind
     assert [call[0] for call in sieve_calls] == ["mobius"]
 
 
+def test_run_refuses_a_cache_past_the_window_limit(tmp_path, monkeypatch, sieve_calls, capsys):
+    from mflab.cache import read_cache, write_cache
+    from mflab.sieve import sieve
+
+    store = WindowStore(limit=SEGMENT)
+    monkeypatch.setattr(ex, "WINDOWS", store)
+    cache_dir = tmp_path / "caches"
+    cache_dir.mkdir()
+    write_cache(cache_dir / "mobius.bin", sieve("mobius", 1, SEGMENT + 2))
+
+    def no_read(path):
+        raise AssertionError(f"read the payload of {path}")
+
+    monkeypatch.setattr(ex, "read_cache", no_read)
+    cfg = RunConfig(
+        experiments=[ExperimentSpec("mobius_exponential", "me", {"theta_over_2pi": 0.25}, [1000])],
+        output_dir=str(tmp_path / "out"),
+        cache_dir=str(cache_dir),
+    )
+    assert run(cfg) == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert "mobius.bin" in out and f"{SEGMENT + 1} values passes the limit of {SEGMENT}" in out
+    assert sieve_calls == []
+    assert not (tmp_path / "out").exists()
+    assert store.limit == SEGMENT
+
+    # under allow_large the batch loads the cache under the raised limit
+    monkeypatch.setattr(ex, "read_cache", read_cache)
+    cfg.allow_large = True
+    assert run(cfg) == EXIT_OK
+    assert store.limit == SEGMENT
+    assert np.array_equal(store.get("mobius", SEGMENT + 1), sieve("mobius", 1, SEGMENT + 2).values)
+    assert sieve_calls == []
+
+
 @pytest.mark.parametrize("name, grid", [
     ("../escaped", [100]), ("sub/tp", [100]), ("tp", [0]), ("tp", [100, True]), ("tp", [1.5]),
     ("tp", []), ("tp", 100),

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mflab.experiments as ex
 from mflab.cache import write_cache
@@ -29,9 +31,9 @@ from mflab.experiments import (
     two_point_correlation,
     windowed_sum_energy,
 )
-from mflab.sequences import BoundedSeq, TrigPoly, correlation_table
+from mflab.sequences import BoundedSeq, TrigPoly, correlation_table, cross_correlation
 from mflab.sieve import SEGMENT, SignSeq, sieve
-from mflab.summation import BLOCK, CHUNK, lag_sums
+from mflab.summation import BLOCK, CHUNK, PLANE_SPAN, lag_sums
 from mflab.symbolic import mirsky_cylinder_density
 
 TAU = 2.0 * math.pi
@@ -214,10 +216,45 @@ def test_lag_sums_take_whole_window_products_at_the_int8_extremes():
     assert want[1] == -128 * N
 
 
+# lags on both sides of a word (64) and of a span, and past two spans
+PLANE_LAGS = [0, 1, 63, 64, 65, 129, PLANE_SPAN - 1, PLANE_SPAN, PLANE_SPAN + 1,
+              PLANE_SPAN + 65, 2 * PLANE_SPAN + 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ternary", "mobius", "liouville", "squarefree"]),
+       lags=st.lists(st.one_of(st.sampled_from(PLANE_LAGS), st.integers(0, 3 * PLANE_SPAN)),
+                     min_size=1, max_size=5),
+       start=st.integers(0, 200),
+       length=st.one_of(st.integers(1, 63), st.integers(1, 3 * PLANE_SPAN)),
+       planted=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                  st.sampled_from([-11, -2, 2, 5, 11])), max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_lag_sums_equal_int64_products(kind, lags, start, length, planted, seed,
+                                       mu_window, lam_window, sq_window):
+    # planted values outside {-1, 0, 1} send the spans and lag groups that
+    # reach them to the multiply route and leave the others on the planes
+    rng = np.random.default_rng(seed)
+    stop = start + length
+    need = stop + max(lags)
+    if kind == "ternary":
+        w = rng.integers(-1, 2, need, dtype=np.int8)
+    else:
+        window = {"mobius": mu_window, "liouville": lam_window, "squarefree": sq_window}[kind]
+        at = int(rng.integers(0, len(window) - need))
+        w = window[at : at + need].copy()
+    for where, value in planted:
+        w[int(where * need)] = value
+    w64 = w.astype(np.int64)
+    want = [int(np.sum(w64[start:stop] * w64[start + h : stop + h])) for h in lags]
+    assert lag_sums(w, lags, start, stop) == want
+
+
 def test_block_kernels_allocate_no_window_sized_array(mu_window, lam_window, sq_window):
     # the windows are grown by the fixtures, so only the kernels' own arrays count
     N = 2 * 10**6
     g = BoundedSeq.from_samples(mu_window, label="mobius", sup_bound=1.0)
+    h = BoundedSeq.from_samples(lam_window, label="liouville", sup_bound=1.0)
     runs = {
         "mobius_exponential": lambda: mobius_exponential_sum(THETA_STAR, N),
         "mobius_exponential at 0": lambda: mobius_exponential_sum(0.0, N),
@@ -231,6 +268,7 @@ def test_block_kernels_allocate_no_window_sized_array(mu_window, lam_window, sq_
         "short_interval": lambda: short_interval_average(100, N),
         "mirsky": lambda: mirsky_cylinder_density([0, 1, 3], [2, 6], N),
         "correlation_table": lambda: correlation_table(g, N, 8),
+        "cross_correlation": lambda: cross_correlation(g, h, N),
     }
     peaks = {}
     for name, run in runs.items():

@@ -16,9 +16,11 @@ from mflab.sequences import (
     correlation_table,
     cross_correlation,
     modulate,
+    _window_products_sum,
     trig_approx,
 )
 from mflab.sieve import sieve
+from mflab.summation import PLANE_SPAN, lag_sums
 
 TAU = 2.0 * math.pi
 
@@ -38,6 +40,23 @@ def test_negative_lags_conjugate():
         assert table.value(-k) == table.value(k).conjugate()
     with pytest.raises(LagTooLargeError):
         table.value(5)
+
+
+def test_correlation_table_sums_all_lags_in_one_pass(mu_window, monkeypatch):
+    import mflab.sequences as seq
+
+    N, K = PLANE_SPAN + 77, 130
+    g = BoundedSeq.from_samples(mu_window[: N + K], label="mobius", sup_bound=1.0)
+    want = [_window_products_sum(g, k, 1, N + 1) / N for k in range(K + 1)]
+    calls = []
+
+    def counting(w, lags, start, stop):
+        calls.append((list(lags), start, stop))
+        return lag_sums(w, lags, start, stop)
+
+    monkeypatch.setattr(seq, "lag_sums", counting)
+    assert correlation_table(g, N, K).values.tolist() == want
+    assert calls == [(list(range(K + 1)), 0, N)]
 
 
 def test_correlation_table_validation():
