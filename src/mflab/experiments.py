@@ -16,8 +16,9 @@ unknown or missing names and any value of the wrong type or range.
 Reports are JSON with sorted keys, so identical configurations produce
 byte-identical files apart from the wall-clock field.  Every window is read
 through one WindowStore, which refuses to grow a window past its limit.
-The kernels stream their windows in slices of summation.BLOCK indices, so
-the store's windows are the only arrays of window length a run holds.
+The kernels are reductions over summation.blocks, which streams their
+windows in slices of BLOCK indices (the lag sums pack spans of PLANE_SPAN),
+so the store's windows are the only arrays of window length a run holds.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .sequences import BoundedSeq, TrigPoly
 from .sieve import LABELS, SEGMENT, SignSeq, sieve
-from .summation import BLOCK, lag_sums, modulated_average, product_sum
+from .summation import BLOCK, blocks, lag_sums, modulated_average, product_sum
 
 # golden-ratio frequency used by the default battery
 THETA_STAR = 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0
@@ -278,12 +279,8 @@ def windowed_sum_energy(k: int, h: int, N: int,
     sums = np.empty(min(BLOCK, N), dtype=np.int8 if narrow else np.int32)
     squares = np.empty(len(sums), dtype=np.int16 if narrow else np.int64)
     total = 0
-    for b in range(0, N, BLOCK):
-        size = min(BLOCK, N - b)
-        part, sq = sums[:size], squares[:size]
-        part.fill(0)
-        for l in range(1, h + 1):
-            part += mu[b + k * l : b + k * l + size]
+    for _, part in blocks([mu[k * l :] for l in range(1, h + 1)], N, sums, np.add):
+        sq = squares[: len(part)]
         np.square(part, out=sq, dtype=sq.dtype)
         total += int(np.sum(sq, dtype=np.int64))
     direct = total / N
@@ -306,16 +303,15 @@ def short_interval_average(H: int, X: int) -> float:
     # sum at x = X + i, and inner(i + 1) = inner(i) + mu[i + H] - mu[i]
     mu = sign_window("mobius", 2 * X + H)[X:]
     carry = int(np.sum(mu[:H], dtype=np.int64))  # inner(0)
-    steps = np.empty(min(BLOCK, X) + 1, dtype=np.int64)
+    steps = np.empty(min(BLOCK, X) + 1, dtype=np.int64)  # the carry, then the block's steps
     total = 0
-    for b in range(0, X, BLOCK):
-        size = min(BLOCK, X - b)
-        part = steps[: size + 1]
-        part[0] = carry
-        np.subtract(mu[b + H : b + H + size], mu[b : b + size], out=part[1:], dtype=np.int64)
-        np.cumsum(part, out=part)  # part[j] = inner(b + j)
-        carry = int(part[size])
-        total += int(np.sum(np.abs(part[:size], out=part[:size]), dtype=np.int64))
+    for b, part in blocks([mu[H:], mu], X, steps[1:], np.subtract):
+        size = len(part)
+        run = steps[: size + 1]
+        run[0] = carry
+        np.cumsum(run, out=run)  # run[j] = inner(b + j)
+        carry = int(run[size])
+        total += int(np.sum(np.abs(run[:size], out=run[:size]), dtype=np.int64))
     return total / (H * X)
 
 

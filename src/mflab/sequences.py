@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidRangeError, LagTooLargeError
-from .summation import BLOCK, KahanAccumulator, index_chunks, lag_sums
+from .summation import chunked_sum, lag_sums, product_sum
 
 
 @dataclass
@@ -128,10 +128,7 @@ def _window_products_sum(g: BoundedSeq, k: int, lo: int, hi: int) -> complex:
         if hi - 1 + k > len(w):
             raise InvalidRangeError("window with lag runs past the sampled data")
         return float(lag_sums(w, [k], lo - 1, hi - 1)[0])
-    acc = KahanAccumulator()
-    for idx in index_chunks(lo, hi):
-        acc.add(np.sum(g.eval(idx + k) * np.conj(g.eval(idx))))
-    return acc.total
+    return chunked_sum(lambda idx: g.eval(idx + k) * np.conj(g.eval(idx)), lo, hi)
 
 
 def correlation_table(g: BoundedSeq, N: int, K: int) -> CorrelationTable:
@@ -160,14 +157,8 @@ def cross_correlation(g: BoundedSeq, h: BoundedSeq, N: int) -> complex:
     if g.samples is not None and h.samples is not None:
         if N > len(g.samples) or N > len(h.samples):
             raise InvalidRangeError("window runs past the sampled data")
-        gs, hs = g.samples[:N], h.samples[:N]
-        s = sum(int(np.sum(gs[b : b + BLOCK] * hs[b : b + BLOCK], dtype=np.int64))
-                for b in range(0, N, BLOCK))
-        return complex(s / N)
-    acc = KahanAccumulator()
-    for idx in index_chunks(1, N + 1):
-        acc.add(np.sum(g.eval(idx) * np.conj(h.eval(idx))))
-    return acc.total / N
+        return complex(product_sum([g.samples, h.samples], N) / N)
+    return chunked_sum(lambda idx: g.eval(idx) * np.conj(h.eval(idx)), 1, N + 1) / N
 
 
 @dataclass
@@ -220,10 +211,7 @@ def besicovitch_distance(g: BoundedSeq, p: TrigPoly | BoundedSeq, N: int) -> flo
     """Mean absolute deviation (1/N) * sum_{n=1..N} |g(n) - p(n)|."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
-    acc = KahanAccumulator()
-    for idx in index_chunks(1, N + 1):
-        acc.add(np.sum(np.abs(g.eval(idx) - p.eval(idx))))
-    return acc.total.real / N
+    return chunked_sum(lambda idx: np.abs(g.eval(idx) - p.eval(idx)), 1, N + 1).real / N
 
 
 def trig_approx(g: BoundedSeq, M: int, N: int) -> TrigPoly:

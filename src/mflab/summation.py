@@ -5,10 +5,13 @@ chunk is reduced with numpy's pairwise summation, and the chunk totals are
 folded together left to right with Kahan compensation.  The chunk size is a
 module constant, so a given input always produces bit-identical output.
 
+chunked_sum runs that loop over a term evaluated on int64 index arrays.
+
 Reductions over sign windows stream them in slices of BLOCK indices, so
 their temporaries stay O(BLOCK) whatever the window length; the only arrays
-of window length are the windows themselves.  They are the lag sums, the
-product sums and the modulated averages the experiments are built from.
+of window length are the windows themselves.  blocks is their one driver:
+block by block it folds an operation the caller fixes (a product, a sum, a
+difference) over the factors' aligned slices into the caller's buffer.
 
 Lag sums of sign windows (values in {-1, 0, 1}) run on bit planes: a span
 of PLANE_SPAN indices is packed into a nonzero plane z and a negative plane
@@ -21,7 +24,7 @@ half a MiB.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,10 +57,34 @@ class KahanAccumulator:
         return self._sum
 
 
-def index_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Yield int64 index arrays covering [lo, hi) in CHUNK-sized pieces."""
+def chunked_sum(term: Callable[[np.ndarray], np.ndarray], lo: int, hi: int) -> complex:
+    """sum of term(idx) over the int64 indices idx in [lo, hi): each CHUNK of
+    indices is summed pairwise and the chunk sums folded with Kahan
+    compensation."""
+    acc = KahanAccumulator()
     for start in range(lo, hi, CHUNK):
-        yield np.arange(start, min(start + CHUNK, hi), dtype=np.int64)
+        acc.add(np.sum(term(np.arange(start, min(start + CHUNK, hi), dtype=np.int64))))
+    return acc.total
+
+
+def blocks(factors: list[np.ndarray], N: int, out: np.ndarray,
+           op=np.multiply) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (b, part) for each BLOCK [b, b + size) of [0, N), where part is
+    op folded left to right over the factors' entries b..b+size-1: a
+    read-only view of the one factor, else written into out[:size] (each op
+    computes in its inputs' dtype, then casts to out's)."""
+    first, *rest = factors
+    for b in range(0, N, BLOCK):
+        size = min(BLOCK, N - b)
+        if rest:
+            part = out[:size]
+            op(first[b : b + size], rest[0][b : b + size], out=part)
+            for f in rest[1:]:
+                op(part, f[b : b + size], out=part)
+        else:
+            part = first[b : b + size]
+            part.flags.writeable = False
+        yield b, part
 
 
 def _pack(x: np.ndarray, planes: np.ndarray, scratch: np.ndarray) -> bool:
@@ -118,10 +145,9 @@ def lag_sums(w: np.ndarray, lags, start: int, stop: int) -> list[int]:
     than two spans however far the lags reach.  Where a span and a group's
     range hold only values in {-1, 0, 1}, each is packed once into bit
     planes and every lag of the group is summed from them with popcounts
-    (see the module docstring).  Elsewhere the products are formed in w's
-    dtype (as w[a:b] * w[c:d] would be, wrapping as it does) in one reused
-    buffer of BLOCK entries, and each block of the span is read once for
-    all lags of the group.
+    (see the module docstring).  Elsewhere each lag of the group is one
+    product_sum over the span, its products formed in w's dtype (as
+    w[a:b] * w[c:d] would be, wrapping as it does).
     """
     lags = list(lags)
     totals = [0] * len(lags)
@@ -141,7 +167,6 @@ def lag_sums(w: np.ndarray, lags, start: int, stop: int) -> list[int]:
     work = np.empty((6, words), np.uint64)
     counts = np.empty((2, span // 64 + 1), np.uint8)
     scratch = np.empty(span + reach, dtype=bool)
-    buf = np.empty(min(BLOCK, span), dtype=w.dtype)
     for a in range(start, stop, PLANE_SPAN):
         size = min(PLANE_SPAN, stop - a)
         based = None  # whether base holds this span's planes, once known
@@ -160,40 +185,23 @@ def lag_sums(w: np.ndarray, lags, start: int, stop: int) -> list[int]:
                 for i, v in zip(idx, sums):
                     totals[i] += v
                 continue
-            for b in range(a, a + size, BLOCK):
-                m = min(BLOCK, a + size - b)
-                x, prod = w[b : b + m], buf[:m]
-                for i in idx:
-                    h = lags[i]
-                    np.multiply(x, w[b + h : b + h + m], out=prod)
-                    totals[i] += int(np.sum(prod, dtype=np.int64))
+            for i in idx:
+                totals[i] += product_sum([w[a:], w[a + lags[i] :]], size)
     return totals
 
 
-def _block_product(factors: list[np.ndarray], b: int, size: int,
-                   out: np.ndarray) -> np.ndarray:
-    """Entries b..b+size-1 of the product of the factors, in their dtype: a
-    view of the one factor, else written into out[:size]."""
-    first, *rest = factors
-    if not rest:
-        return first[b : b + size]
-    part = out[:size]
-    np.multiply(first[b : b + size], rest[0][b : b + size], out=part)
-    for f in rest[1:]:
-        np.multiply(part, f[b : b + size], out=part)
-    return part
-
-
 def product_sum(factors: list[np.ndarray], N: int) -> int:
-    """sum_{j<N} of the product of f[j] over the factors, exactly, one BLOCK at a time."""
-    buf = np.empty(min(BLOCK, N), dtype=np.int8)
-    return sum(int(np.sum(_block_product(factors, b, min(BLOCK, N - b), buf), dtype=np.int64))
-               for b in range(0, N, BLOCK))
+    """sum_{j<N} of the product of f[j] over the factors, formed one BLOCK
+    at a time in their result dtype (wrapping as a whole-window product
+    would) and summed exactly."""
+    out = np.empty(min(BLOCK, N), dtype=np.result_type(*factors))
+    return sum(int(np.sum(part, dtype=np.int64)) for _, part in blocks(factors, N, out))
 
 
 def modulated_average(factors: list[np.ndarray], theta: float, N: int) -> complex:
     """(1/N) * sum_{n=1..N} mask[n-1] * exp(i n theta), exact when theta = 0,
-    where mask is the product of the int8 factors, formed one BLOCK at a time.
+    where mask is the product of the factors, formed one BLOCK at a time in
+    their result dtype.
 
     Uses exp(i theta (n0 + j)) = exp(i theta n0) * exp(i theta j): the
     mask is cut into rows of ROW consecutive terms starting at n0, one
@@ -217,17 +225,17 @@ def modulated_average(factors: list[np.ndarray], theta: float, N: int) -> comple
     j = theta * np.arange(ROW, dtype=np.float64)
     table = np.stack((np.cos(j), np.sin(j)), axis=1)
     buf = np.empty(BLOCK, dtype=np.float64)  # reused for every piece
-    mask = np.empty(BLOCK, dtype=np.int8)
+    mask = np.empty(BLOCK, dtype=np.result_type(*factors))
     acc = KahanAccumulator()
     for lo in range(0, N, CHUNK):
         hi = min(lo + CHUNK, N)
         sums = np.empty((-(-(hi - lo) // ROW), 2))  # (cos, sin) sum per row
-        for b in range(lo, hi, BLOCK):
-            size = min(BLOCK, hi - b)
+        for b, part in blocks([f[lo:] for f in factors], hi - lo, mask):
+            size = len(part)
             rows = -(-size // ROW)
-            buf[:size] = _block_product(factors, b, size, mask)
+            buf[:size] = part
             buf[size : rows * ROW] = 0.0
-            first = (b - lo) // ROW
+            first = b // ROW
             np.matmul(buf[: rows * ROW].reshape(rows, ROW), table,
                       out=sums[first : first + rows])
         starts = np.arange(lo + 1, hi + 1, ROW, dtype=np.float64)

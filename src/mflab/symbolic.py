@@ -275,22 +275,21 @@ def _window_values(x, n: int) -> tuple[np.ndarray, bool]:
 
 def _encode_windows(values: np.ndarray, L: int, N: int, binary: bool) -> np.ndarray:
     """Integer codes of the N windows values[i : i + L], first symbol most
-    significant.  Only values[: N + L - 1] is converted; the codes are folded
-    in place, one symbol position at a time."""
-    if binary:
-        if L > _BINARY_LEN_CAP:
-            raise WindowTooLongError(f"binary block length capped at {_BINARY_LEN_CAP}")
-        base = np.uint64(2)
-        digits = values[: N + L - 1].astype(np.uint64)
-    else:
-        if L > _TERNARY_LEN_CAP:
-            raise WindowTooLongError(f"ternary block length capped at {_TERNARY_LEN_CAP}")
-        base = np.uint64(3)
-        digits = (values[: N + L - 1] + 1).astype(np.uint64)
-    codes = digits[:N].copy()
+    significant, digit v for a binary symbol v and v + 1 for a ternary one.
+
+    The int8 symbols are added into the codes in place, one symbol position
+    at a time, working mod 2^64 (a -1 adds 2^64 - 1); a ternary word then
+    gets sum_j 3^j = (3^L - 1) / 2 for its + 1 digits, so only the codes
+    are of length N."""
+    kind, cap, base = ("binary", _BINARY_LEN_CAP, 2) if binary else ("ternary", _TERNARY_LEN_CAP, 3)
+    if L > cap:
+        raise WindowTooLongError(f"{kind} block length capped at {cap}")
+    codes = values[:N].astype(np.uint64)
     for j in range(1, L):
         codes *= base
-        codes += digits[j : j + N]
+        np.add(codes, values[j : j + N], out=codes, dtype=np.uint64, casting="unsafe")
+    if not binary:
+        codes += np.uint64((3**L - 1) // 2)
     return codes
 
 

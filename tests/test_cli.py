@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mflab
 import mflab.experiments as ex
 from mflab.cache import read_cache, write_cache
 from mflab.cli import main
@@ -376,8 +379,10 @@ def test_sieve_too_large_for_memory_exits_two(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the subprocess imports the mflab this test imported, however it got on the path
+    env = {**os.environ, "PYTHONPATH": str(Path(mflab.__file__).resolve().parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-m", "mflab.cli", "admissible", "--set", "0,1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "admissible"

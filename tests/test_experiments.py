@@ -33,7 +33,7 @@ from mflab.experiments import (
 )
 from mflab.sequences import BoundedSeq, TrigPoly, correlation_table, cross_correlation
 from mflab.sieve import SEGMENT, SignSeq, sieve
-from mflab.summation import BLOCK, CHUNK, PLANE_SPAN, lag_sums
+from mflab.summation import BLOCK, CHUNK, PLANE_SPAN, blocks, lag_sums, product_sum
 from mflab.symbolic import mirsky_cylinder_density
 
 TAU = 2.0 * math.pi
@@ -193,7 +193,7 @@ def test_block_kernels_match_int64_references(N, mu_window, lam_window, sq_windo
     lags = [int(np.sum(lam[:N] * lam[h : h + N])) for h in range(1, 9)]
     assert two_point_correlation(3, N) == abs(lags[2]) / N
     assert small_correlation_fraction(8, N, 0.01) == sum(abs(s) <= 0.01 * N for s in lags) / 8
-    for k, h in ((3, 10), (2, 200)):
+    for k, h in ((1, 1), (3, 10), (2, 200)):
         sums = sum(mu[k * l : k * l + N] for l in range(1, h + 1))
         assert windowed_sum_energy(k, h, N, with_spectral=False)[0] == int(np.sum(sums**2)) / N
     for H in (1, 100, BLOCK + 5, 2 * BLOCK + 3):
@@ -214,6 +214,28 @@ def test_lag_sums_take_whole_window_products_at_the_int8_extremes():
     want = [int(np.sum(w[:N] * w[h : h + N], dtype=np.int64)) for h in range(4)]
     assert lag_sums(w, range(4), 0, N) == want
     assert want[1] == -128 * N
+
+
+def test_product_sum_forms_products_in_the_factors_result_dtype():
+    # int16 products past the int8 range, one int8 factor, and a ragged last block
+    N = 3 * BLOCK + 7
+    rng = np.random.default_rng(7)
+    a, b = (rng.integers(-181, 182, N + 2, dtype=np.int16) for _ in range(2))
+    signs = rng.integers(-1, 2, N, dtype=np.int8)
+    want = int(np.sum(a[:N].astype(np.int64) * signs * b[2 : 2 + N]))
+    assert product_sum([a, signs, b[2:]], N) == want
+
+
+def test_blocks_fold_the_operation_and_lend_a_lone_factor_read_only():
+    N = 2 * BLOCK + 3
+    x = np.arange(N + 2, dtype=np.int64)
+    out = np.empty(BLOCK, np.int64)
+    parts = [(b, part.copy()) for b, part in blocks([x[2:], x[1:], x], N, out, np.subtract)]
+    assert [b for b, _ in parts] == [0, BLOCK, 2 * BLOCK]
+    assert np.array_equal(np.concatenate([p for _, p in parts]), x[2 : N + 2] - x[1 : N + 1] - x[:N])
+    (b, view), = blocks([x], 5, out)
+    assert np.shares_memory(view, x) and not view.flags.writeable
+    assert x.flags.writeable
 
 
 # lags on both sides of a word (64) and of a span, and past two spans

@@ -20,7 +20,7 @@ from mflab.sequences import (
     trig_approx,
 )
 from mflab.sieve import sieve
-from mflab.summation import PLANE_SPAN, lag_sums
+from mflab.summation import BLOCK, PLANE_SPAN, lag_sums
 
 TAU = 2.0 * math.pi
 
@@ -100,11 +100,12 @@ def test_correlation_csv_roundtrip(tmp_path):
         assert float(row[1]) == v.real and float(row[2]) == v.imag
 
 
+@pytest.mark.parametrize("N", [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 @pytest.mark.parametrize("value", [100, -128, 12])
-def test_int8_windows_outside_the_sign_alphabet_sum_exactly(value):
-    g = BoundedSeq.from_samples(np.full(4, value, np.int8), sup_bound=128.0)
-    assert correlation_table(g, 2, 1).value(0) == value * value
-    assert cross_correlation(g, g, 2) == value * value
+def test_int8_windows_outside_the_sign_alphabet_sum_exactly(value, N):
+    g = BoundedSeq.from_samples(np.full(N + 2, value, np.int8), sup_bound=128.0)
+    assert correlation_table(g, N, 1).value(0) == value * value
+    assert cross_correlation(g, g, N) == value * value
     signs = BoundedSeq.from_samples(np.array([1, -1, 0, 1], np.int8))
     assert signs.samples.dtype == np.int8
 
