@@ -26,13 +26,12 @@ silently change a run.
 The window limit applies to the real window an experiment reads, which
 starts at n = 1 and ends at N plus its reach (N + h for two_point, 2N + H
 for short_interval): no window grows past experiments.WINDOW_LIMIT
-(2**25 indices) unless allow_large is set, which raises the limit to a
-sixth of the physical memory.  The check is made by the window store when
-a window must grow, before anything is sieved, so a batch stops with
+(2**25 indices) unless allow_large is set, which raises it to a sixth of
+the physical memory for the batch.  The check is made by the window store
+when a window must grow, before anything is sieved, so a batch stops with
 exit 2 at the first entry whose window would pass the limit; the reports
 of the entries before it stay written.  A cache in cache_dir longer than
-that limit (raised alike by allow_large) exits 2 before any payload is
-read.
+that limit exits 2 before any payload is read.
 
 Values are typed as in JSON: output_dir is a string, cache_dir and
 golden_file a string or null, allow_large true or false, n_grid a list of
@@ -42,9 +41,9 @@ must be JSON integers, so 1.5 and true are refused rather than truncated;
 number params (theta, theta_over_2pi, alpha, delta, poly terms) must be
 finite numbers, not strings, booleans or null.  h, H, k >= 1,
 0 < delta < 1, and squarefree_shifts shifts are a list of integers >= 1.
-parse_config and run check every entry before any cache is loaded, any
-window sieved or any report written, so a bad value anywhere in the batch
-exits 2 first, also in a RunConfig built by hand.
+parse_config and run check the root and every entry before any cache is
+loaded, any window sieved or any report written, so a bad value anywhere
+in the batch exits 2 first, also in a RunConfig built by hand.
 
 A golden file maps experiment names to expected indicator values:
 
@@ -66,7 +65,8 @@ from pathlib import Path
 
 from .cache import read_cache  # unused; kept for perfbench/spans.py, which wraps it by name
 from .errors import CacheChecksumError, CacheFormatError, ConfigError, WindowLimitError
-from .experiments import DEFAULT_GRID, build_experiment, load_caches, run_experiment
+from . import experiments
+from .experiments import DEFAULT_GRID, build_experiment, check_grid, load_caches, run_experiment
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -97,10 +97,23 @@ def _reject_unknown_keys(obj: dict, known: type, where: str) -> None:
         raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
 
 
+def _check_root(obj: dict) -> None:
+    """ConfigError unless obj's experiments is a non-empty list and its other
+    root keys have their types (see the module docstring)."""
+    if not isinstance(obj.get("experiments"), list) or not obj["experiments"]:
+        raise ConfigError("config needs a non-empty 'experiments' list")
+    for key, kinds, what in (("allow_large", bool, "true or false"),
+                             ("output_dir", str, "a string"),
+                             ("cache_dir", (str, type(None)), "a string or null"),
+                             ("golden_file", (str, type(None)), "a string or null")):
+        if key in obj and not isinstance(obj[key], kinds):
+            raise ConfigError(f"{key} must be {what}, got {obj[key]!r}")
+
+
 def _check_specs(specs: list[ExperimentSpec]) -> None:
     """ConfigError unless each entry has a plain file name no other entry
-    has, params that build (see build_experiment) and an n_grid that is a
-    non-empty list of integers >= 1."""
+    has, params that build (see build_experiment) and an n_grid that
+    check_grid accepts."""
     seen: set[str] = set()
     for spec in specs:
         name = spec.name
@@ -115,11 +128,10 @@ def _check_specs(specs: list[ExperimentSpec]) -> None:
             build_experiment(spec.id, spec.params)
         except (ValueError, OverflowError) as exc:  # OverflowError: an integer too large for float
             raise ConfigError(f"experiment {name!r}: {exc}") from exc
-        grid = spec.n_grid
-        if (not isinstance(grid, list) or not grid
-                or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                           for n in grid)):
-            raise ConfigError(f"n_grid of {name!r} must be a list of positive integers")
+        try:
+            check_grid(spec.n_grid)
+        except ValueError as exc:
+            raise ConfigError(f"n_grid of {name!r}: {exc}") from exc
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -128,24 +140,16 @@ def parse_config(obj: dict) -> RunConfig:
     The keys of the root and of each experiment entry are the fields of
     RunConfig and ExperimentSpec; any other key, any param the experiment
     does not accept and any it requires but lacks, is refused rather than
-    ignored.  Every entry is checked here as run checks it (names, params
-    built by build_experiment, n_grid), so a bad value is refused before
-    run touches a cache, a window or a report.
+    ignored.  The root and every entry are checked here as run checks them
+    (root types, names, params built by build_experiment, n_grid), so a bad
+    value is refused before run touches a cache, a window or a report.
     """
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
     _reject_unknown_keys(obj, RunConfig, "the config root")
-    raw = obj.get("experiments")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("config needs a non-empty 'experiments' list")
-    for key, kinds, what in (("allow_large", bool, "true or false"),
-                             ("output_dir", str, "a string"),
-                             ("cache_dir", (str, type(None)), "a string or null"),
-                             ("golden_file", (str, type(None)), "a string or null")):
-        if key in obj and not isinstance(obj[key], kinds):
-            raise ConfigError(f"{key} must be {what}, got {obj[key]!r}")
+    _check_root(obj)
     specs: list[ExperimentSpec] = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(obj["experiments"]):
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError(f"experiment #{i} must be an object with an 'id'")
         _reject_unknown_keys(entry, ExperimentSpec, f"experiment #{i}")
@@ -220,24 +224,26 @@ def exit_code(exc: Exception) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a batch: check every entry (a RunConfig built by hand has
-    not been through parse_config) and the golden file, then load every
-    cache in cache_dir, then write one report per experiment and compare
-    goldens.  An error stops the batch with the code exit_code gives it;
-    an experiment whose window would pass the window limit (see the module
-    docstring) is a config error.  Reports written before an error stay."""
+    """Execute a batch: check the root and every entry (a RunConfig built
+    by hand has not been through parse_config) and the golden file, then,
+    under the limit allow_large sets, load the caches in cache_dir, write one
+    report per experiment and compare goldens.  An error stops the batch with
+    the code exit_code gives it, a window past the limit as a config error
+    (see the module docstring).  Reports written before an error stay."""
+    store, limit = experiments.WINDOWS, experiments.WINDOWS.limit  # swapped-in stores apply
     try:
+        _check_root(vars(config))
         _check_specs(config.experiments)
         goldens = {} if config.golden_file is None else _load_goldens(config.golden_file)
+        store.limit = max(limit, experiments.LARGE_LIMIT) if config.allow_large else limit
         if config.cache_dir is not None:
-            load_caches(config.cache_dir, allow_large=config.allow_large)
+            load_caches(config.cache_dir)
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         failures: list[str] = []
         for spec in config.experiments:
             try:
-                report = run_experiment(spec.id, spec.params, spec.n_grid,
-                                        allow_large=config.allow_large)
+                report = run_experiment(spec.id, spec.params, spec.n_grid)
             except WindowLimitError as exc:
                 raise ConfigError(f"experiment {spec.name!r}: {exc}") from exc
             report.write(out_dir / f"{spec.name}.json")
@@ -245,6 +251,8 @@ def run(config: RunConfig) -> int:
                 failures.append(f"{spec.name}: {problem}")
     except (ValueError, OverflowError, OSError, MemoryError) as exc:
         return exit_code(exc)
+    finally:
+        store.limit = limit
     for line in failures:
         print(f"tolerance failure: {line}")
     return EXIT_TOLERANCE if failures else EXIT_OK

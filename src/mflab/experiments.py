@@ -55,9 +55,9 @@ DEFAULT_GRID = (10**5, 10**6, 10**7)
 # longest window a store grows to unless allow_large raises it: 32 segments,
 # above short_interval's 2X + H = 3e7 at X = H = 1e7
 WINDOW_LIMIT = 1 << 25
-# what allow_large raises a lower limit to, for run_experiment and load_caches:
-# a sixth of the physical memory, as three int8 labels are held with the old
-# and the grown arrays together while a window grows
+# what a config.run batch with allow_large raises a lower limit to: a sixth of
+# the physical memory, as three int8 labels are held with the old and the
+# grown arrays together while a window grows
 LARGE_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 6
 
 
@@ -140,7 +140,7 @@ def sign_window(label: str, hi: int) -> np.ndarray:
     return WINDOWS.get(label, hi)
 
 
-def load_caches(directory: str | Path, allow_large: bool = False) -> None:
+def load_caches(directory: str | Path) -> None:
     """Verify every *.bin file in directory, in sorted order, then adopt each
     window for the label in its header, whatever the file name.
 
@@ -150,7 +150,7 @@ def load_caches(directory: str | Path, allow_large: bool = False) -> None:
     also names a file whose window does not start at n = 1 or whose label
     is not one of LABELS, and is raised for a path that is not an existing
     directory or holds no *.bin file.  A file whose window is longer than
-    the store's limit, or than LARGE_LIMIT under allow_large, raises
+    the store's limit (config.run raises it for allow_large) raises
     WindowLimitError.  Every header is checked before any payload is read.
     """
     if not Path(directory).is_dir():
@@ -158,16 +158,15 @@ def load_caches(directory: str | Path, allow_large: bool = False) -> None:
     paths = sorted(Path(directory).glob("*.bin"))
     if not paths:
         raise CacheFormatError(f"cache directory {str(directory)!r} holds no *.bin file")
-    limit = max(WINDOWS.limit, LARGE_LIMIT) if allow_large else WINDOWS.limit
     for path in paths:
         label, start, length = read_header(path)
         if label not in LABELS or start != 1:
             raise CacheFormatError(
                 f"{path}: a cache window must start at n = 1 with a label in {LABELS}, "
                 f"got label {label!r} starting at {start}")
-        if length > limit:
-            raise WindowLimitError(f"{path}: a {label} cache of {length} values passes the "
-                                   f"limit of {limit}; set allow_large in a config to raise it")
+        if length > WINDOWS.limit:
+            raise WindowLimitError(f"{path}: a {label} cache of {length} values passes the limit "
+                                   f"of {WINDOWS.limit}; set allow_large in a config to raise it")
     # names looked up per call, so tracing wrappers and test stores apply
     seqs = [read_cache(path) for path in paths]
     for seq in seqs:
@@ -460,36 +459,33 @@ def build_experiment(exp_id: str, params: dict) -> Callable[[int], complex]:
     return build(**params)
 
 
-def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None, *,
-                   allow_large: bool = False) -> ExperimentReport:
+def check_grid(grid) -> list[int]:
+    """The N grid sorted; ValueError unless a non-empty list or tuple of integers >= 1."""
+    if not _integers("grid", grid):
+        raise ValueError("param 'grid' must hold at least one N")
+    return sorted(grid)
+
+
+def run_experiment(exp_id: str, params: dict, grid: list[int] | None = None) -> ExperimentReport:
     """Run one experiment over an N grid and assemble its report.
 
     The params are built once (see build_experiment), so unknown ids,
     unknown or missing params and bad values raise ValueError before any
-    window is read; so do an empty grid and a grid entry that is not an
-    integer >= 1 (only grid=None selects DEFAULT_GRID).  A window longer
-    than the store's limit raises WindowLimitError.
-    allow_large raises that limit, for this call only, to LARGE_LIMIT
-    if that is more.  Every experiment streams its
-    windows in BLOCK slices, so past the windows a run holds O(BLOCK)
-    bytes, and the index limit bounds the bytes too.  The report carries the params
+    window is read; so does a grid check_grid refuses (only grid=None
+    selects DEFAULT_GRID).  A window longer than the store's limit raises
+    WindowLimitError; a config.run batch with allow_large raises that
+    limit around its experiments.  Every experiment streams its windows in
+    BLOCK slices, so past the windows a run holds O(BLOCK) bytes, and the
+    index limit bounds the bytes too.  The report carries the params
     exactly as passed; the checksum covers the id, the params and the
     sorted grid.
     """
     run = build_experiment(exp_id, params)
-    grid = sorted(_integers("grid", DEFAULT_GRID if grid is None else grid))
-    if not grid:
-        raise ValueError("param 'grid' must hold at least one N")
+    grid = check_grid(DEFAULT_GRID if grid is None else grid)
     params = dict(params)
     checksum = input_checksum(exp_id, params, grid)
-    store, limit = WINDOWS, WINDOWS.limit  # looked up per call, so a swapped-in store applies
-    if allow_large:
-        store.limit = max(limit, LARGE_LIMIT)
     t0 = time.perf_counter()
-    try:
-        values = [complex(run(N)) for N in grid]
-    finally:
-        store.limit = limit
+    values = [complex(run(N)) for N in grid]
     elapsed = (time.perf_counter() - t0) * 1000.0
     mags = [abs(v) for v in values]
     indicators = {

@@ -61,8 +61,8 @@ class TorusMeasure:
                 raise ValueError(f"atom mass must be positive, got {m}")
 
     @classmethod
-    def uniform(cls, bins: int = DEFAULT_BINS, mass: float = 1.0) -> "TorusMeasure":
-        return cls(bins, np.full(bins, mass / TAU), [])
+    def uniform(cls, bins: int = DEFAULT_BINS) -> "TorusMeasure":
+        return cls(bins, np.full(bins, 1.0 / TAU), [])
 
     @classmethod
     def from_density(cls, density: np.ndarray) -> "TorusMeasure":

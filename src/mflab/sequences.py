@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,11 +75,10 @@ class BoundedSeq:
         return cls(fn, sup_bound, label=label, samples=ints)
 
     @classmethod
-    def exponential(cls, theta: float, label: str | None = None) -> "BoundedSeq":
+    def exponential(cls, theta: float) -> "BoundedSeq":
         """The unimodular sequence n -> exp(i * n * theta)."""
         t = float(theta)
-        return cls(lambda idx: np.exp(1j * t * idx), 1.0,
-                   label=label or f"exp({t:.6g})")
+        return cls(lambda idx: np.exp(1j * t * idx), 1.0, label=f"exp({t:.6g})")
 
 
 def modulate(g: BoundedSeq, theta: float) -> BoundedSeq:
@@ -121,14 +120,15 @@ class CorrelationTable:
                 writer.writerow([k, repr(v.real), repr(v.imag)])
 
 
-def _window_products_sum(g: BoundedSeq, k: int, lo: int, hi: int) -> complex:
-    """sum_{n=lo..hi-1} g(n+k) * conj(g(n)), chunked and compensated."""
-    if g.samples is not None:
-        w = g.samples
-        if hi - 1 + k > len(w):
-            raise InvalidRangeError("window with lag runs past the sampled data")
-        return float(lag_sums(w, [k], lo - 1, hi - 1)[0])
-    return chunked_sum(lambda idx: g.eval(idx + k) * np.conj(g.eval(idx)), lo, hi)
+def correlation_sums(g: BoundedSeq, lags: Sequence[int], lo: int, hi: int) -> list[complex]:
+    """[sum_{n=lo..hi-1} g(n+k) * conj(g(n)) for k in lags]: with samples, exact
+    sums from one lag_sums call (as floats), else a compensated chunked_sum per lag."""
+    if g.samples is None:
+        return [chunked_sum(lambda idx: g.eval(idx + k) * np.conj(g.eval(idx)), lo, hi)
+                for k in lags]
+    if hi - 1 + max(lags, default=0) > len(g.samples):
+        raise InvalidRangeError("window with lag runs past the sampled data")
+    return [float(s) for s in lag_sums(g.samples, lags, lo - 1, hi - 1)]
 
 
 def correlation_table(g: BoundedSeq, N: int, K: int) -> CorrelationTable:
@@ -140,13 +140,7 @@ def correlation_table(g: BoundedSeq, N: int, K: int) -> CorrelationTable:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
     if K < 0 or K >= N:
         raise LagTooLargeError(f"need 0 <= K < N, got K={K}, N={N}")
-    if g.samples is None:
-        vals = [_window_products_sum(g, k, 1, N + 1) / N for k in range(K + 1)]
-    elif N + K > len(g.samples):
-        raise InvalidRangeError("window with lag runs past the sampled data")
-    else:
-        # one lag_sums call, so each span of the window is read once for all lags
-        vals = [float(s) / N for s in lag_sums(g.samples, range(K + 1), 0, N)]
+    vals = [s / N for s in correlation_sums(g, range(K + 1), 1, N + 1)]
     return CorrelationTable(N, K, np.array(vals, dtype=np.complex128))
 
 
@@ -195,9 +189,8 @@ class TrigPoly:
         order = np.argsort(shifted, kind="stable")
         return TrigPoly(shifted[order], self.coeffs[order])
 
-    def as_seq(self, sup_bound: float | None = None) -> BoundedSeq:
-        bound = float(np.sum(np.abs(self.coeffs))) if sup_bound is None else sup_bound
-        return BoundedSeq(self.eval, bound, label="trigpoly")
+    def as_seq(self) -> BoundedSeq:
+        return BoundedSeq(self.eval, float(np.sum(np.abs(self.coeffs))), label="trigpoly")
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:

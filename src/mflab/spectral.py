@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import GridTooCoarseError, InvalidRangeError, LagTooLargeError
 from .measures import TAU, TorusMeasure
-from .sequences import BoundedSeq, _window_products_sum
+from .sequences import BoundedSeq, correlation_sums
 from .summation import KahanAccumulator
 
 DIRICHLET_GRID_FACTOR = 8
@@ -96,8 +96,8 @@ def coefficient_consistency(g: BoundedSeq, n: int, k: int) -> CoeffCheck:
         raise InvalidRangeError(f"n must be >= 1, got {n}")
     if k < 0 or k >= n:
         raise LagTooLargeError(f"need 0 <= k < n, got k={k}, n={n}")
-    truncated = _window_products_sum(g, k, 1, n - k + 1) / n
-    edge = _window_products_sum(g, k, n - k + 1, n + 1) / n if k else 0.0 + 0.0j
+    truncated = correlation_sums(g, [k], 1, n - k + 1)[0] / n
+    edge = correlation_sums(g, [k], n - k + 1, n + 1)[0] / n if k else 0.0 + 0.0j
     bound = (k / n) * g.sup_bound**2
     check = CoeffCheck(complex(truncated), complex(truncated + edge), complex(edge), bound)
     # k products each of modulus at most sup_bound^2: the bound is exact
@@ -143,7 +143,7 @@ def spectral_limit_diagnostic(g: BoundedSeq, n_grid: list[int], K: int,
     rows = np.empty((len(grid), K + 1), dtype=np.complex128)
     for i, n in enumerate(grid):
         for k in range(K + 1):
-            rows[i, k] = _window_products_sum(g, k, 1, n - k + 1) / n
+            rows[i, k] = correlation_sums(g, [k], 1, n - k + 1)[0] / n
     m = len(grid)
     dev = np.zeros((m, m))
     for i in range(m):

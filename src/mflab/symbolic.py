@@ -173,11 +173,10 @@ def _truncated_product(shifts: list[int], primes: np.ndarray) -> float:
 
 
 def mirsky_cylinder_density(ones, zeros, n_check: int,
-                            squarefree_window: np.ndarray | None = None,
-                            prime_bound: int = MIRSKY_PRIME_BOUND) -> MirskyDensity:
+                            squarefree_window: np.ndarray | None = None) -> MirskyDensity:
     """Density of { n : n+a square-free for a in ones, not for b in zeros }.
 
-    The product estimate truncates at prime_bound and handles the zero set
+    The product estimate truncates at MIRSKY_PRIME_BOUND and handles the zero set
     by inclusion-exclusion over its subsets (capped at 20 shifts).  The
     empirical frequency counts matches among n = 1..n_check against a
     square-free indicator window, read through experiments.sign_window when
@@ -189,7 +188,6 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
         n_check: empirical sample size, >= 1.
         squarefree_window: optional indicator values for n = 1 onward, at
             least n_check + max shift long.
-        prime_bound: truncation point of the prime product.
     """
     ones = sorted(set(int(a) for a in ones))
     zeros = sorted(set(int(b) for b in zeros))
@@ -202,14 +200,14 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
     if n_check < 1:
         raise InvalidRangeError(f"n_check must be >= 1, got {n_check}")
 
-    primes = primes_upto(prime_bound).values
+    primes = primes_upto(MIRSKY_PRIME_BOUND).values
     estimate = 0.0
     for r in range(len(zeros) + 1):
         for extra in combinations(zeros, r):
             term = _truncated_product(ones + list(extra), primes)
             estimate += term if r % 2 == 0 else -term
     size = len(ones) + len(zeros)
-    tail = max(0.0, 1.0 - size / prime_bound)
+    tail = max(0.0, 1.0 - size / MIRSKY_PRIME_BOUND)
 
     reach = max(ones + zeros, default=0)
     if squarefree_window is None:
@@ -359,9 +357,11 @@ def block_entropy_estimate(x, L_grid, N: int) -> EntropyEstimate:
     """Topological entropy proxy from distinct window counts.
 
     envelope is the running minimum of the exponents, which is the honest
-    monotone reading since block counts are submultiplicative.  Distinct
-    windows are counted by sorting their integer codes in place and counting
-    the steps between neighbours; np.unique would take its slower hash path.
+    monotone reading since block counts are submultiplicative.  The window
+    codes at the largest L are sorted once in place (np.unique would take its
+    slower hash path); down the grid, floor division by base**(previous L - L)
+    leaves the code of each word's first L symbols and keeps the order, so
+    each count is one plus the steps between neighbours.
     """
     grid = sorted(int(L) for L in L_grid)
     if not grid or grid[0] < 1:
@@ -371,12 +371,14 @@ def block_entropy_estimate(x, L_grid, N: int) -> EntropyEstimate:
     values, binary = _window_values(x, N + grid[-1] - 1)
     if N + grid[-1] - 1 > len(values):
         raise WindowTooLongError("data too short for the largest block length")
+    codes = _encode_windows(values, grid[-1], N, binary)
+    codes.sort()
     exps = []
-    for L in grid:
-        codes = _encode_windows(values, L, N, binary)
-        codes.sort()
+    for L, longer in zip(grid[::-1], grid[-1:] + grid[::-1]):
+        if L < longer:
+            codes //= np.uint64((2 if binary else 3) ** (longer - L))
         distinct = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
-        exps.append(math.log2(distinct) / L)
+        exps.insert(0, math.log2(distinct) / L)
     envelope = list(np.minimum.accumulate(exps))
     return EntropyEstimate(grid, exps, envelope)
 

@@ -23,8 +23,9 @@ from mflab.config import (
 from mflab.cli import main
 from mflab.errors import CacheChecksumError, CacheFormatError, ConfigError, WindowLimitError
 import mflab.experiments as ex
+from mflab.cache import write_cache
 from mflab.experiments import WindowStore, run_experiment, sign_window, two_point_correlation
-from mflab.sieve import SEGMENT
+from mflab.sieve import SEGMENT, sieve
 
 
 def _write_json(path, obj):
@@ -166,6 +167,32 @@ def test_allow_large_raises_the_limit_for_its_batch_only(tmp_path, monkeypatch, 
     with pytest.raises(RuntimeError):
         run(cfg)
     assert seen[0] > SEGMENT and store.limit == SEGMENT
+
+    # and when a corrupt cache stops the batch before any experiment
+    cache_dir = tmp_path / "caches"
+    cache_dir.mkdir()
+    write_cache(cache_dir / "mobius.bin", sieve("mobius", 1, 2048))
+    blob = bytearray((cache_dir / "mobius.bin").read_bytes())
+    blob[-10] ^= 0xFF
+    (cache_dir / "mobius.bin").write_bytes(bytes(blob))
+    cfg.cache_dir = str(cache_dir)
+    assert run(cfg) == EXIT_CACHE
+    assert len(seen) == 1 and store.limit == SEGMENT
+
+
+@pytest.mark.parametrize("field, value", [
+    ("output_dir", None), ("cache_dir", 123), ("golden_file", 5), ("allow_large", "false"),
+])
+def test_run_checks_the_root_fields_of_a_hand_built_config(field, value, tmp_path, monkeypatch,
+                                                           fresh_windows, sieve_calls, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = RunConfig(experiments=[ExperimentSpec("two_point", "tp", {"h": 1}, [100])])
+    setattr(cfg, field, value)
+    assert run(cfg) == EXIT_CONFIG
+    out = capsys.readouterr().out
+    assert out.startswith("config error:") and field in out
+    assert sieve_calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_maps_memory_error_to_config_exit(tmp_path, monkeypatch, capsys):

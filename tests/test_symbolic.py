@@ -258,14 +258,20 @@ def _repetitive_word(alphabet: tuple[int, ...], size: int, seed: int) -> np.ndar
 @pytest.mark.parametrize("alphabet, L", [
     ((0, 1), 1), ((0, 1), 7), ((0, 1), _BINARY_LEN_CAP),
     ((-1, 0, 1), 1), ((-1, 0, 1), 7), ((-1, 0, 1), _TERNARY_LEN_CAP),
+    # a whole grid in one call: unsorted, with a duplicate, up to the cap
+    ((0, 1), [7, 1, _BINARY_LEN_CAP, 7, 30]), ((-1, 0, 1), [7, 1, _TERNARY_LEN_CAP, 7, 20]),
 ])
 def test_entropy_distinct_counts_match_brute_force(alphabet, L):
+    grid = L if isinstance(L, list) else [L]
     N = 600
-    word = _repetitive_word(alphabet, N + L - 1, seed=L)
-    est = block_entropy_estimate(word, [L], N)
-    distinct = len({tuple(word[i : i + L]) for i in range(N)})
-    assert 1 < distinct < N
-    assert est.exponents == [math.log2(distinct) / L]
+    word = _repetitive_word(alphabet, N + max(grid) - 1, seed=max(grid))
+    est = block_entropy_estimate(word, grid, N)
+    want = []
+    for L in sorted(grid):
+        distinct = len({tuple(word[i : i + L]) for i in range(N)})
+        assert 1 < distinct < N
+        want.append(math.log2(distinct) / L)
+    assert est.exponents == want
 
 
 @pytest.mark.parametrize("alphabet, L", [
