@@ -460,9 +460,10 @@ def build_experiment(exp_id: str, params: dict) -> Callable[[int], complex]:
 
 
 def check_grid(grid) -> list[int]:
-    """The N grid sorted; ValueError unless a non-empty list or tuple of integers >= 1."""
+    """The N grid sorted; ValueError unless a non-empty list or tuple of
+    integers >= 1, InvalidRangeError when it is empty."""
     if not _integers("grid", grid):
-        raise ValueError("param 'grid' must hold at least one N")
+        raise InvalidRangeError("param 'grid' must hold at least one N")
     return sorted(grid)
 
 

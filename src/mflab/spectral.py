@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarseError, InvalidRangeError, LagTooLargeError
+from .experiments import check_grid
 from .measures import TAU, TorusMeasure
 from .sequences import BoundedSeq, correlation_sums
 from .summation import KahanAccumulator
@@ -134,10 +135,9 @@ class SpectralLimitDiagnostic:
 
 def spectral_limit_diagnostic(g: BoundedSeq, n_grid: list[int], K: int,
                               tolerance: float = 0.01) -> SpectralLimitDiagnostic:
-    """Tabulate analytic coefficients along n_grid and compare rows."""
-    grid = sorted(int(n) for n in n_grid)
-    if not grid:
-        raise InvalidRangeError("n_grid must be non-empty")
+    """Tabulate analytic coefficients along n_grid, which experiments.check_grid
+    checks and sorts, and compare rows."""
+    grid = check_grid(n_grid)
     if K < 0 or K >= grid[0]:
         raise LagTooLargeError(f"need K < min(n_grid), got K={K}")
     rows = np.empty((len(grid), K + 1), dtype=np.complex128)

@@ -49,41 +49,46 @@ _TERNARY_LEN_CAP = 39
 RESIDUE_PRIME_LIMIT = isqrt(MAX_INDEX)  # 3037000499, the largest p with p^2 in int64
 
 
-def _as_word(values, allowed: tuple[int, ...]) -> np.ndarray:
+def _word(values, alphabet=(-1, 0, 1), head: int | None = None) -> tuple[np.ndarray, bool]:
+    """values as a 1-D int8 array, and whether its first head symbols (all
+    when None) lie in {0, 1}; ValueError unless they lie in alphabet: (0, 1),
+    (-1, 0, 1) or the signs (-1, 1).  min() and max() need no temporary of
+    the word's size, and count_nonzero tells signs from a ternary word."""
     arr = np.asarray(values, dtype=np.int8)
     if arr.ndim != 1:
         raise ValueError("block values must be one-dimensional")
-    if not np.all(np.isin(arr, allowed)):
-        raise ValueError(f"block values must lie in {allowed}")
-    return arr
+    part = arr[:head]
+    lo, hi = (int(part.min()), int(part.max())) if part.size else (0, 0)
+    if lo < alphabet[0] or hi > alphabet[-1] or (
+            0 not in alphabet and np.count_nonzero(part) < part.size):
+        raise ValueError(f"block values must lie in {alphabet}")
+    return arr, lo >= 0
 
 
 @dataclass
-class Block2:
+class _Block:
+    """Finite word over the subclass's _alphabet starting at a 1-based index."""
+
+    values: np.ndarray = field(repr=False)
+    start: int = 1
+
+    def __post_init__(self) -> None:
+        self.values = _word(self.values, self._alphabet)[0]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+class Block2(_Block):
     """Finite word over {0, 1} starting at a 1-based index."""
 
-    values: np.ndarray = field(repr=False)
-    start: int = 1
-
-    def __post_init__(self) -> None:
-        self.values = _as_word(self.values, (0, 1))
-
-    def __len__(self) -> int:
-        return len(self.values)
+    _alphabet = (0, 1)
 
 
-@dataclass
-class Block3:
+class Block3(_Block):
     """Finite word over {-1, 0, 1} starting at a 1-based index."""
 
-    values: np.ndarray = field(repr=False)
-    start: int = 1
-
-    def __post_init__(self) -> None:
-        self.values = _as_word(self.values, (-1, 0, 1))
-
-    def __len__(self) -> int:
-        return len(self.values)
+    _alphabet = (-1, 0, 1)
 
 
 @dataclass
@@ -94,10 +99,10 @@ class SkewPoint:
     signs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        self.signs = _as_word(self.signs, (-1, 1))
-        if len(self.signs) < int(np.sum(self.base.values)):
-            raise SignWordTooShortError(
-                f"{len(self.signs)} signs for {int(np.sum(self.base.values))} ones")
+        self.signs = _word(self.signs, (-1, 1))[0]
+        ones = int(np.sum(self.base.values))
+        if len(self.signs) < ones:
+            raise SignWordTooShortError(f"{len(self.signs)} signs for {ones} ones")
 
     def first_product(self) -> int:
         """Product of the leading symbols; 0 whenever the base starts with 0."""
@@ -114,16 +119,17 @@ def residue_count(p: int, shifts) -> int:
     p <= RESIDUE_PRIME_LIMIT, else RangeOverflowError; shifts must be
     non-empty.
     """
-    shifts = np.asarray(sorted(set(int(a) for a in shifts)), dtype=np.int64)
-    if len(shifts) == 0:
+    shifts = set(map(int, shifts))
+    if not shifts:
         raise InvalidRangeError("shift set must be non-empty")
-    if np.any(shifts < 0):
+    if min(shifts) < 0:
         raise InvalidRangeError("shifts must be non-negative")
     if p > RESIDUE_PRIME_LIMIT:
         raise RangeOverflowError(f"p^2 must fit int64, so p <= {RESIDUE_PRIME_LIMIT}, got {p}")
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
-    return len(np.unique(shifts % (p * p)))
+    square = p * p
+    return len({a % square for a in shifts})
 
 
 def is_admissible(shifts) -> bool:
@@ -255,22 +261,6 @@ class BlockTable:
                                  repr(self.counts[word] / self.N)])
 
 
-def _window_values(x, n: int) -> tuple[np.ndarray, bool]:
-    """x as an int8 array, and whether its first n symbols, the only ones
-    the block codes read, all lie in {0, 1}; ValueError when one of them
-    lies outside {-1, 0, 1}."""
-    if isinstance(x, (Block2, Block3)):
-        values = x.values
-    else:
-        values = np.asarray(x, dtype=np.int8)
-    head = values[:n]
-    # min() and max() read the head without a full-size boolean temporary
-    lo, hi = (int(head.min()), int(head.max())) if head.size else (0, 0)
-    if lo < -1 or hi > 1:
-        raise ValueError("block values must lie in (-1, 0, 1)")
-    return values, lo >= 0
-
-
 def _encode_windows(values: np.ndarray, L: int, N: int, binary: bool) -> np.ndarray:
     """Integer codes of the N windows values[i : i + L], first symbol most
     significant, digit v for a binary symbol v and v + 1 for a ternary one.
@@ -291,6 +281,19 @@ def _encode_windows(values: np.ndarray, L: int, N: int, binary: bool) -> np.ndar
     return codes
 
 
+def _sorted_codes(x, L: int, N: int) -> tuple[np.ndarray, bool]:
+    """The codes of the N windows x[i : i + L] (see _encode_windows), sorted
+    in place, and whether the symbols they read all lie in {0, 1}.  x is a
+    Block2, a Block3 or anything _word reads."""
+    values, binary = _word(x.values if isinstance(x, _Block) else x, head=N + L - 1)
+    if N + L - 1 > len(values):
+        raise WindowTooLongError(
+            f"need {N + L - 1} symbols for N={N} windows of length {L}, have {len(values)}")
+    codes = _encode_windows(values, L, N, binary)
+    codes.sort()
+    return codes, binary
+
+
 def _decode(code: int, L: int, binary: bool) -> tuple[int, ...]:
     base = 2 if binary else 3
     word = []
@@ -308,13 +311,10 @@ def empirical_block_measure(x, L: int, N: int) -> BlockTable:
     """
     if L < 1 or N < 1:
         raise InvalidRangeError(f"need L >= 1 and N >= 1, got L={L}, N={N}")
-    values, binary = _window_values(x, N + L - 1)
-    if N + L - 1 > len(values):
-        raise WindowTooLongError(
-            f"need {N + L - 1} symbols for N={N} windows of length {L}, have {len(values)}")
-    codes = _encode_windows(values, L, N, binary)
-    uniq, counts = np.unique(codes, return_counts=True)
-    table = {_decode(int(c), L, binary): int(m) for c, m in zip(uniq, counts)}
+    codes, binary = _sorted_codes(x, L, N)
+    ends = np.append(np.flatnonzero(codes[1:] != codes[:-1]), N - 1)  # last index of each run
+    counts = np.diff(ends, prepend=-1)
+    table = {_decode(c, L, binary): m for c, m in zip(codes[ends].tolist(), counts.tolist())}
     return BlockTable(L, N, table)
 
 
@@ -358,21 +358,17 @@ def block_entropy_estimate(x, L_grid, N: int) -> EntropyEstimate:
 
     envelope is the running minimum of the exponents, which is the honest
     monotone reading since block counts are submultiplicative.  The window
-    codes at the largest L are sorted once in place (np.unique would take its
-    slower hash path); down the grid, floor division by base**(previous L - L)
-    leaves the code of each word's first L symbols and keeps the order, so
-    each count is one plus the steps between neighbours.
+    codes come sorted at the largest L (_sorted_codes); down the grid, floor
+    division by base**(previous L - L) leaves the code of each word's first
+    L symbols and keeps the order, so each count is one plus the steps
+    between neighbours.
     """
     grid = sorted(int(L) for L in L_grid)
     if not grid or grid[0] < 1:
         raise InvalidRangeError("L grid must be non-empty with L >= 1")
     if N < 1:
         raise InvalidRangeError(f"need N >= 1, got N={N}")
-    values, binary = _window_values(x, N + grid[-1] - 1)
-    if N + grid[-1] - 1 > len(values):
-        raise WindowTooLongError("data too short for the largest block length")
-    codes = _encode_windows(values, grid[-1], N, binary)
-    codes.sort()
+    codes, binary = _sorted_codes(x, grid[-1], N)
     exps = []
     for L, longer in zip(grid[::-1], grid[-1:] + grid[::-1]):
         if L < longer:
@@ -406,7 +402,7 @@ def apply_signs(x: Block2, signs) -> Block3:
 
     Raises SignWordTooShortError when there are fewer signs than ones.
     """
-    signs = _as_word(signs, (-1, 1))
+    signs = _word(signs, (-1, 1))[0]
     ones = int(np.sum(x.values))
     if len(signs) < ones:
         raise SignWordTooShortError(f"{len(signs)} signs for {ones} ones")

@@ -15,6 +15,7 @@ import mflab
 import mflab.experiments as ex
 from mflab.cache import read_cache, write_cache
 from mflab.cli import main
+from mflab.config import EXIT_CACHE, EXIT_CONFIG
 from mflab.experiments import WindowStore
 from mflab.measures import TorusMeasure, write_json
 from mflab.sieve import LABELS, sieve
@@ -378,11 +379,49 @@ def test_sieve_too_large_for_memory_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def _subprocess(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run python with args; the subprocess imports the mflab this test
+    imported, however it got on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mflab.__file__).resolve().parent.parent), **env}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point(tmp_path):
-    # the subprocess imports the mflab this test imported, however it got on the path
-    env = {**os.environ, "PYTHONPATH": str(Path(mflab.__file__).resolve().parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mflab.cli", "admissible", "--set", "0,1"],
-        capture_output=True, text=True, env=env)
+    proc = _subprocess("-m", "mflab.cli", "admissible", "--set", "0,1")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "admissible"
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_script_help(script):
+    # imports every script as a user runs it, so a renamed helper fails here
+    proc = _subprocess(str(SCRIPTS / script), "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n-grid", "40000000"], "allow_large"),
+    (["--n-grid", "100", "200", "--kmax", "150"], "need K < min(n_grid)"),
+])
+def test_spectral_diagnostic_script_exits_two_on_refused_arguments(args, message):
+    proc = _subprocess(str(SCRIPTS / "spectral_diagnostic.py"), *args)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stdout.startswith("error:") and message in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_spectral_diagnostic_script_reads_mfl_cache_dir(tmp_path):
+    args = (str(SCRIPTS / "spectral_diagnostic.py"), "--label", "liouville",
+            "--n-grid", "100", "200", "--kmax", "3")
+    proc = _subprocess(*args, MFL_CACHE_DIR=str(tmp_path / "missing"))
+    assert proc.returncode == EXIT_CACHE
+    assert proc.stdout.startswith("cache error:") and "missing" in proc.stdout
+    write_cache(tmp_path / "lam.bin", sieve("liouville", 1, 300))
+    out = tmp_path / "rows.csv"
+    proc = _subprocess(*args, "--out", str(out), MFL_CACHE_DIR=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "single limit plausible" in proc.stdout and out.is_file()

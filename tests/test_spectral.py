@@ -158,6 +158,13 @@ def test_spectral_limit_diagnostic_validation():
         spectral_limit_diagnostic(g, [], 5)
 
 
+@pytest.mark.parametrize("n_grid", [[1000.9, 2000], [1000, True], [0, 2000]])
+def test_spectral_limit_diagnostic_takes_the_experiment_grid_rule(n_grid):
+    # the same rule as experiments.check_grid: no float is truncated to an N
+    with pytest.raises(ValueError, match="param 'grid'"):
+        spectral_limit_diagnostic(BoundedSeq.exponential(0.2), n_grid, 3)
+
+
 def test_diagnostic_csv(tmp_path):
     g = BoundedSeq.exponential(0.4)
     diag = spectral_limit_diagnostic(g, [64, 128], 3)

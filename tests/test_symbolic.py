@@ -1,6 +1,7 @@
 """Block combinatorics, admissibility, Mirsky densities, and the sign skew product."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -30,7 +31,7 @@ from mflab.symbolic import (
     MIRSKY_PRIME_BOUND,
     SkewPoint,
     _encode_windows,
-    _window_values,
+    _word,
     apply_signs,
     block_entropy_estimate,
     empirical_block_measure,
@@ -64,6 +65,13 @@ def test_residue_count_takes_every_prime_whose_square_fits_int64():
         residue_count(3_037_000_499, {0})  # isqrt(2**63 - 1) itself is composite
     with pytest.raises(RangeOverflowError):
         residue_count(3_037_000_507, {0})  # the next prime: its square passes int64
+
+
+def test_residue_count_takes_shifts_past_int64():
+    # counted as Python ints, like is_admissible and the Mirsky product
+    assert residue_count(5, {0, 2**70}) == 2  # 2**70 = 24 mod 25
+    assert residue_count(5, {1, 2**70 + 2}) == 1
+    assert is_admissible([0, 2**70]) is True
 
 
 def test_admissibility_pinned():
@@ -310,15 +318,63 @@ def test_entropy_memory_does_not_scale_with_window(mu_window):
 def test_alphabet_choice_needs_no_window_sized_temporary(mu_window):
     tracemalloc.start()
     try:
-        values, binary = _window_values(mu_window, len(mu_window))
+        values, binary = _word(mu_window, head=len(mu_window))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert values is mu_window and not binary
     # a boolean mask of the 1e7 window alone would take 9.5 MiB
     assert peak < 2**20
-    assert _window_values(np.empty(0, dtype=np.int8), 0)[1]
-    assert _window_values(mu_window[mu_window >= 0][:1000], 1000)[1]
+    assert _word(np.empty(0, dtype=np.int8), head=0)[1]
+    assert _word(mu_window[mu_window >= 0][:1000], head=1000)[1]
+
+
+@pytest.mark.parametrize("alphabet, L", [((0, 1), _BINARY_LEN_CAP), ((-1, 0, 1), _TERNARY_LEN_CAP)])
+def test_block_table_matches_counter_at_the_caps(alphabet, L):
+    N = 500
+    word = _repetitive_word(alphabet, N + L - 1, seed=L)
+    table = empirical_block_measure(word, L, N)
+    brute = Counter(tuple(int(v) for v in word[i : i + L]) for i in range(N))
+    assert 1 < len(brute) < N and table.counts == dict(brute)
+
+
+def test_blocks_on_the_whole_window_need_no_window_sized_temporary(mu_window, sq_window):
+    assert len(mu_window) > 10**7
+    tracemalloc.start()
+    try:
+        x, y = Block2(sq_window), Block3(mu_window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.values is sq_window and y.values is mu_window
+    # np.isin over the 1e7 window took 114 MiB
+    assert peak < 2**20
+
+
+def test_block_classes_share_one_body_but_stay_apart():
+    x, y = Block2([0, 1], start=5), Block3([0, 1], start=5)
+    assert repr(x) == "Block2(start=5)" and repr(y) == "Block3(start=5)"
+    assert not isinstance(x, Block3) and not isinstance(y, Block2)
+    assert [f.name for f in dataclasses.fields(x)] == ["values", "start"]
+    # a Block3 holding only 0 and 1 is read as binary, so the 64-symbol cap applies
+    table = empirical_block_measure(Block3(np.ones(70, np.int8)), _BINARY_LEN_CAP, 2)
+    assert table.counts == {(1,) * _BINARY_LEN_CAP: 2}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Block2([0, 2]),
+    lambda: Block2([0, -1]),
+    lambda: Block3([2]),
+    lambda: Block3(np.zeros((2, 2), np.int8)),
+    lambda: Block2(np.zeros((1, 3), np.int8)),
+    lambda: SkewPoint(Block2([1, 0, 1]), [1, 0, -1]),
+    lambda: SkewPoint(Block2([1]), [2]),
+    lambda: apply_signs(Block2([1, 1]), [-1, 0]),
+    lambda: apply_signs(Block2([1]), [[1]]),
+])
+def test_words_refuse_values_outside_their_alphabet(make):
+    with pytest.raises(ValueError, match="block values"):
+        make()
 
 
 @pytest.mark.parametrize("values", [[0, 2, 1, 0, 2], [1, -1, 0, -2, 1], [0, 1, 100, 1, 0]])
