@@ -20,7 +20,10 @@ mobius cache file of 1e7 values that another process wrote just before,
 the layer sample layers.cache_read_1e7_s, and the lag correlations
 correlation_table(mobius, 1e6, 128) plus small_correlation_fraction(8,
 1e7, 0.001) on windows sieved to 1e7 before the clock starts, also in a
-fresh process, the layer sample layers.lag_sums_s.  It also times three commands end
+fresh process, the layer sample layers.lag_sums_s, and one untraced
+perfbench/run.py run of the far_windows workload (short windows far out,
+sieved without out arrays), whose run_s median is the layer sample
+layers.far_windows_run_s.  It also times three commands end
 to end, each in a fresh process and with start-up included:
 `mfl experiment --id mobius_exponential --n-grid 10000000`
 (layers.experiment_1e7_s), scripts/decay_battery.py against its goldens
@@ -195,6 +198,7 @@ def main() -> int:
                      "runs": [], "metrics": {},
                      "layers": {name: {"unit": "s", "samples": []}
                                 for name in ("sieve_1e8_s", "far_window_1e14_s",
+                                             "far_windows_run_s",
                                              "cache_read_1e7_s", "lag_sums_s",
                                              "experiment_1e7_s", "decay_battery_s",
                                              "tier1_s")}}
@@ -227,6 +231,15 @@ def main() -> int:
             seconds = time_sieve(checkouts[tag], FAR_LO, FAR_LO + FAR_WIDTH)
             layers["far_window_1e14_s"]["samples"].append(seconds)
             print(f"round {r} {tag} sieve 2^16 at 1e14: {seconds:.3f} s", flush=True)
+            prov, result = run_bench(checkouts[tag], "far_windows", seed, 0)
+            records[tag]["runs"].append({"workload": "far_windows", "trace": 0, "seed": seed,
+                                         "passes": prov["passes"],
+                                         "attempted": result["attempted"],
+                                         "failed": result["failed"]})
+            seconds = result["metrics"]["run_s"]["value"]
+            layers["far_windows_run_s"]["samples"].append(seconds)
+            print(f"round {r} {tag} far_windows run_s: {seconds:.4f} s, "
+                  f"failed {result['failed']}", flush=True)
             seconds = time_cache_read(checkouts[tag])
             layers["cache_read_1e7_s"]["samples"].append(seconds)
             print(f"round {r} {tag} read_cache 1e7: {seconds:.4f} s", flush=True)

@@ -56,8 +56,8 @@ DEFAULT_GRID = (10**5, 10**6, 10**7)
 # above short_interval's 2X + H = 3e7 at X = H = 1e7
 WINDOW_LIMIT = 1 << 25
 # what a config.run batch with allow_large raises a lower limit to: a sixth of
-# the physical memory, as three int8 labels are held with the old and the
-# grown arrays together while a window grows
+# the physical memory, as three int8 labels are held, and one old array
+# next to them, while a window grows
 LARGE_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 6
 
 
@@ -73,7 +73,11 @@ class WindowStore:
     multiple of the sieve segment and fills, in the same pass, every label
     whose window ends where the requested one does, so a battery touching
     all three labels sieves each index once.  Grown windows are written
-    into new arrays, never resized in place, as callers keep views.
+    into new arrays, never resized in place, as callers keep views.  Each
+    old window is copied into its grown array and the store then holds the
+    copied prefix, so the old array is freed before the tail is sieved.  If
+    the sieve raises, the store keeps those prefixes (no entry for a window
+    grown from nothing) and never serves a half-filled window.
 
     limit is the longest window get grows to: a request for more raises
     WindowLimitError before anything is sieved or allocated.  Windows
@@ -116,6 +120,8 @@ class WindowStore:
                 grown[name] = np.empty(new_stop, dtype=np.int8)
                 if stop:
                     grown[name][:stop] = self._windows[name]
+                    # frees the old array unless a caller holds a view of it
+                    self._windows[name] = grown[name][:stop]
         # the module-level sieve, so a substitute installed on this module
         # (a test double, a tracing wrapper) sees every pass
         sieve(label, stop + 1, new_stop + 1,

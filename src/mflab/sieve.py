@@ -35,7 +35,10 @@ WHEEL = 8*9*5*7*11 = 27720 indices, and every segment [s, e) is tiled
 from that period at offset s mod WHEEL.  That is why a leftover q is at
 least 13.  A wheel prime above a segment's root bound is marked too, which
 is harmless: its square exceeds every n there, so marking it gives what
-the leftover step would.  The segment buffers are allocated once per call.
+the leftover step would.  A call allocates one segment of words and a
+leftover scratch of summation.BLOCK words.  It marks the square-free flags
+straight into out["squarefree"] when the caller passes one, else into one
+int8 segment buffer.
 
 Indices are 1-based and 64-bit throughout (MAX_INDEX).  Ranges are half
 open: [lo, hi) covers lo, lo+1, ..., hi-1.  sieve() takes hi up to
@@ -53,6 +56,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import InvalidRangeError, RangeOverflowError
+from .summation import BLOCK
 
 SEGMENT = 1 << 20
 MAX_INDEX = 2**63 - 1
@@ -239,8 +243,9 @@ def _wheel() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tile(period: np.ndarray, offset: int, out: np.ndarray) -> None:
-    """Fill the contiguous out with period[(offset + j) % len(period)]: a head
-    slice up to the period's end, whole periods in one broadcast copy, a tail."""
+    """Fill the 1-D out (a strided view too: reshaping it never copies) with
+    period[(offset + j) % len(period)]: a head slice up to the period's end,
+    whole periods in one broadcast copy, a tail."""
     size, n = len(out), len(period)
     head = min(n - offset, size)
     out[:head] = period[offset : offset + head]
@@ -249,23 +254,27 @@ def _tile(period: np.ndarray, offset: int, out: np.ndarray) -> None:
     out[head + rows * n :] = period[: size - head - rows * n]
 
 
-def _segments(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+def _segments(lo: int, hi: int, flags: np.ndarray | None = None
+              ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield (s, e, word, squarefree) for each segment [s, e) of [lo, hi).
 
     word holds the uint16 words of the module docstring, with the leftover
-    prime counted, and squarefree the int8 flag.  Both are scratch that the
-    next segment overwrites.
+    prime counted, and is scratch that the next segment overwrites.
+    squarefree holds the int8 flags: flags[s - lo : e - lo] when the caller
+    passes flags (length hi - lo), else scratch as well.
     """
     primes = primes_upto(isqrt(hi - 1)).values.tolist()
     wheel_word, wheel_sq = _wheel()
     width = min(SEGMENT, hi - lo)
     word = np.empty(width, dtype=WORD)
-    squarefree = np.empty(width, dtype=np.int8)
-    scratch = np.empty(width, dtype=WORD)
+    if flags is None:
+        own = np.empty(width, dtype=np.int8)
+    leftover = np.empty(min(BLOCK, width), dtype=WORD)
     for s in range(lo, hi, SEGMENT):
         e = min(s + SEGMENT, hi)
         size = e - s
-        w, sq, t = word[:size], squarefree[:size], scratch[:size]
+        w = word[:size]
+        sq = own[:size] if flags is None else flags[s - lo : e - lo]
         _tile(wheel_word, s % WHEEL, w)
         _tile(wheel_sq, s % WHEEL, sq)
         top = isqrt(e - 1)
@@ -293,12 +302,15 @@ def _segments(lo: int, hi: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarr
         # one prime factor above top unmarked; it is simple, so it adds 17
         # like any first power.  17 << 8 wraps the high byte mod 256 and
         # leaves the log byte alone.
-        np.bitwise_and(w, 0xFF, out=t)
-        for k in range(s.bit_length() - 1, (e - 1).bit_length()):
-            a, b = max(s, 1 << k) - s, min(e, 2 << k) - s
-            np.less(t[a:b], 3 * k, out=t[a:b], casting="unsafe")
-        t *= 17 << 8
-        w += t
+        for a in range(0, size, BLOCK):
+            n, wb = s + a, w[a : a + BLOCK]  # the block covers [n, n + len(wb))
+            t = leftover[: len(wb)]
+            np.bitwise_and(wb, 0xFF, out=t)
+            for k in range(n.bit_length() - 1, (n + len(t) - 1).bit_length()):
+                band = t[max(n, 1 << k) - n : (2 << k) - n]
+                np.less(band, 3 * k, out=band, casting="unsafe")
+            t *= 17 << 8
+            wb += t
         yield s, e, w, sq
 
 
@@ -319,8 +331,9 @@ def sieve(label: str, lo: int, hi: int,
             at most 1e8 booleans.  A larger hi raises RangeOverflowError
             before anything is allocated.
         out: optional label -> int8 array of length hi - lo.  Arrays may be
-            views into larger buffers; they are written in place.  When
-            ``label`` is among the keys, the returned values are its array.
+            views into larger buffers but may not share memory with each
+            other (ValueError); they are written in place.  When ``label``
+            is among the keys, the returned values are its array.
 
     Returns:
         SignSeq of ``label`` covering [lo, hi).
@@ -338,15 +351,17 @@ def sieve(label: str, lo: int, hi: int,
             raise ValueError(f"unknown label {name!r} in out; expected one of {LABELS}")
         if arr.dtype != np.int8 or arr.shape != (hi - lo,):
             raise ValueError(f"out[{name!r}] must be an int8 array of length {hi - lo}")
+    arrays = list(targets.values())
+    if any(np.may_share_memory(x, y) for i, x in enumerate(arrays) for y in arrays[i + 1 :]):
+        raise ValueError("the arrays of out may share memory; each label needs its own")
     if label not in targets:
         targets[label] = np.empty(hi - lo, dtype=np.int8)
 
-    for s, e, words, squarefree in _segments(lo, hi):
+    for s, e, words, squarefree in _segments(lo, hi, targets.get("squarefree")):
         for name, arr in targets.items():
-            dst = arr[s - lo : e - lo]
             if name == "squarefree":
-                dst[:] = squarefree
-                continue
+                continue  # _segments marked the flags in place
+            dst = arr[s - lo : e - lo]
             # a parity bit b (word bit 8: omega, bit 12: Omega) becomes the
             # sign 1 - 2b; mobius is masked by squarefree
             np.right_shift(words, 12 if name == "liouville" else 8, out=dst.view(np.uint8),

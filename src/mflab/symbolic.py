@@ -53,16 +53,18 @@ def _word(values, alphabet=(-1, 0, 1), head: int | None = None) -> tuple[np.ndar
     """values as a 1-D int8 array, and whether its first head symbols (all
     when None) lie in {0, 1}; ValueError unless they lie in alphabet: (0, 1),
     (-1, 0, 1) or the signs (-1, 1).  min() and max() need no temporary of
-    the word's size, and count_nonzero tells signs from a ternary word."""
-    arr = np.asarray(values, dtype=np.int8)
+    the word's size, and count_nonzero tells signs from a ternary word.  All
+    three read values in their own dtype, so a wider integer such as 256 is
+    refused before the int8 cast could wrap it; int8 values are not copied."""
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError("block values must be one-dimensional")
     part = arr[:head]
-    lo, hi = (int(part.min()), int(part.max())) if part.size else (0, 0)
+    lo, hi = (part.min(), part.max()) if part.size else (0, 0)
     if lo < alphabet[0] or hi > alphabet[-1] or (
             0 not in alphabet and np.count_nonzero(part) < part.size):
         raise ValueError(f"block values must lie in {alphabet}")
-    return arr, lo >= 0
+    return arr.astype(np.int8, copy=False), bool(lo >= 0)
 
 
 @dataclass
@@ -294,13 +296,18 @@ def _sorted_codes(x, L: int, N: int) -> tuple[np.ndarray, bool]:
     return codes, binary
 
 
-def _decode(code: int, L: int, binary: bool) -> tuple[int, ...]:
+def _decode(codes: np.ndarray, L: int, binary: bool) -> list[tuple[int, ...]]:
+    """The words of codes (see _encode_windows) as tuples, from L digit
+    passes over all codes at once, last symbol first."""
     base = 2 if binary else 3
-    word = []
-    for _ in range(L):
-        code, digit = divmod(code, base)
-        word.append(digit if binary else digit - 1)
-    return tuple(reversed(word))
+    rest = codes.copy()
+    digits = np.empty((len(codes), L), dtype=np.int8)
+    for j in range(L - 1, -1, -1):
+        digits[:, j] = rest % base
+        rest //= base
+    if not binary:
+        digits -= 1
+    return list(map(tuple, digits.tolist()))
 
 
 def empirical_block_measure(x, L: int, N: int) -> BlockTable:
@@ -314,8 +321,7 @@ def empirical_block_measure(x, L: int, N: int) -> BlockTable:
     codes, binary = _sorted_codes(x, L, N)
     ends = np.append(np.flatnonzero(codes[1:] != codes[:-1]), N - 1)  # last index of each run
     counts = np.diff(ends, prepend=-1)
-    table = {_decode(c, L, binary): m for c, m in zip(codes[ends].tolist(), counts.tolist())}
-    return BlockTable(L, N, table)
+    return BlockTable(L, N, dict(zip(_decode(codes[ends], L, binary), counts.tolist())))
 
 
 def _marginal(table: BlockTable, drop_first: bool) -> dict[tuple[int, ...], float]:

@@ -32,7 +32,7 @@ from mflab.experiments import (
     windowed_sum_energy,
 )
 from mflab.sequences import BoundedSeq, TrigPoly, correlation_table, cross_correlation
-from mflab.sieve import SEGMENT, SignSeq, sieve
+from mflab.sieve import LABELS, SEGMENT, SignSeq, sieve
 from mflab.summation import BLOCK, CHUNK, PLANE_SPAN, blocks, lag_sums, product_sum
 from mflab.symbolic import mirsky_cylinder_density
 
@@ -332,6 +332,49 @@ def test_sign_window_grows_and_reuses(fresh_windows, sieve_calls):
     assert len(sieve_calls) == 2
     # views handed out before the growth still hold the old values
     assert np.array_equal(first, sieve("mobius", 1, 101).values)
+
+
+def test_growth_frees_the_old_windows_before_sieving():
+    store = WindowStore()
+    tracemalloc.start()
+    try:
+        store.get("mobius", SEGMENT)
+        store.get("mobius", 4 * SEGMENT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the three grown windows and the sieve's own scratch; holding the old
+    # windows through the sieve pass would add 3 * SEGMENT
+    assert peak < 12 * SEGMENT + 2.25 * SEGMENT
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+@pytest.mark.parametrize("stop", [0, SEGMENT])
+def test_a_failed_growth_keeps_only_the_valid_prefix(monkeypatch, error, stop):
+    store = WindowStore()
+    held = {label: store.get(label, stop).copy() for label in LABELS} if stop else {}
+
+    def fail_halfway(label, lo, hi, out=None):
+        sieve(label, lo, lo + SEGMENT // 2, out={n: a[: SEGMENT // 2] for n, a in out.items()})
+        raise error
+
+    monkeypatch.setattr(ex, "sieve", fail_halfway)
+    with pytest.raises(error):
+        store.get("mobius", stop + 2 * SEGMENT)
+    calls = []
+
+    def recording(label, lo, hi, out=None):
+        calls.append((lo, hi))
+        return sieve(label, lo, hi, out=out)
+
+    monkeypatch.setattr(ex, "sieve", recording)
+    for label, values in held.items():
+        assert np.array_equal(store.get(label, stop), values)
+    assert calls == []
+    # the half-filled tail is sieved again from the old end, not served
+    got = store.get("squarefree", stop + 5)
+    assert calls == [(stop + 1, stop + SEGMENT + 1)]
+    assert np.array_equal(got, sieve("squarefree", 1, stop + 6).values)
 
 
 def test_sign_window_rejects_bad_requests(fresh_windows):

@@ -19,6 +19,7 @@ from mflab.sieve import (
     SIEVE_LIMIT,
     WHEEL,
     PrimeBasis,
+    SignSeq,
     _log_weight,
     _tile,
     _wheel,
@@ -29,6 +30,7 @@ from mflab.sieve import (
     primes_upto,
     sieve,
 )
+from mflab.summation import BLOCK
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -59,17 +61,63 @@ def test_primes_upto_memory_is_one_table_and_one_prime_array():
     assert peak < (bound + 1) + primes.nbytes + 2**20
 
 
-def test_sieve_scratch_memory_is_five_bytes_per_segment_index():
-    lo, hi = 1, 3 * SEGMENT + 1
-    out = {label: np.empty(hi - lo, dtype=np.int8) for label in LABELS}
+def _sieve_peak(label: str, lo: int, hi: int, out: dict | None = None) -> tuple[int, SignSeq]:
     tracemalloc.start()
     try:
-        sieve("mobius", lo, hi, out=out)
+        seq = sieve(label, lo, hi, out=out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the uint16 words, one uint16 scratch and the int8 flag of one segment
-    assert peak < 5 * SEGMENT + 2**18
+    return peak, seq
+
+
+def test_sieve_scratch_memory_is_one_segment_of_words():
+    lo, hi = 1, 3 * SEGMENT + 1
+    out = {label: np.empty(hi - lo, dtype=np.int8) for label in LABELS}
+    peak, _ = _sieve_peak("mobius", lo, hi, out)
+    # the uint16 words of one segment and a BLOCK of leftover scratch; the
+    # flags are marked in out["squarefree"]
+    assert peak < 2 * SEGMENT + 2**18
+
+
+def test_sieve_without_out_adds_one_segment_of_flags():
+    lo, hi = 1, 3 * SEGMENT + 1
+    peak, seq = _sieve_peak("mobius", lo, hi)
+    assert peak < 3 * SEGMENT + 2**18 + seq.values.nbytes
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 2 * SEGMENT + 5),  # segment seams from the bottom
+    (SEGMENT - 17, SEGMENT + BLOCK + 23),  # a segment seam and a BLOCK seam
+    (37 * WHEEL - 300, 37 * WHEEL + 300),  # a wheel seam
+    (10**12 - 5, 10**12 + SEGMENT + 3 * WHEEL),  # a segment seam far out
+])
+def test_flags_marked_in_out_give_the_bytes_of_the_segment_buffer(lo, hi):
+    # without out["squarefree"] the flags live in the sieve's own segment
+    # buffer and show only through mobius, whose absolute value they are
+    mu = sieve("mobius", lo, hi).values
+    lam = sieve("liouville", lo, hi).values
+    size = hi - lo
+    buf = np.zeros(2 * size, dtype=np.int8)
+    for flags in (np.empty(size, dtype=np.int8), buf[::2], np.empty(size, dtype=np.int8)[::-1]):
+        out = {"squarefree": flags, "liouville": np.empty(size, dtype=np.int8)}
+        assert np.array_equal(sieve("mobius", lo, hi, out=out).values, mu)
+        assert np.array_equal(flags, np.abs(mu)) and np.array_equal(out["liouville"], lam)
+    assert not buf[1::2].any()
+
+
+def test_sieve_refuses_out_arrays_that_share_memory():
+    a = np.zeros(9, dtype=np.int8)
+    buf = np.zeros(20, dtype=np.int8)
+    for out in ({"mobius": a, "squarefree": a}, {"mobius": a, "liouville": a[::-1]},
+                {"liouville": buf[:9], "squarefree": buf[5:14]}):
+        with pytest.raises(ValueError, match="share memory"):
+            sieve("mobius", 1, 10, out=out)
+        assert not a.any() and not buf.any()
+    # disjoint views of one buffer are fine
+    sieve("mobius", 1, 10, out={"mobius": buf[:9], "squarefree": buf[9:18]})
+    assert buf[:9].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0]
+    assert buf[9:18].tolist() == [1, 1, 1, 0, 1, 1, 1, 0, 0]
 
 
 def test_is_prime_agrees_with_the_oracle():

@@ -385,6 +385,39 @@ def test_block_statistics_refuse_symbols_outside_the_alphabet(values):
         block_entropy_estimate(values, [2], 4)
 
 
+def test_wide_integers_are_range_checked_before_the_int8_cast():
+    # an int8 cast alone would read 256 as 0 and 257 as 1
+    with pytest.raises(ValueError, match="block values"):
+        Block2(np.array([0, 256, 1], dtype=np.int64))
+    with pytest.raises(ValueError, match="block values"):
+        empirical_block_measure(np.array([0, 257, 1], dtype=np.int64), 1, 3)
+    with pytest.raises(ValueError, match="block values"):
+        Block3(np.array([-255, 0], dtype=np.int16))
+    word = Block3(np.array([-1, 0, 1], dtype=np.int64))
+    assert word.values.dtype == np.int8 and word.values.tolist() == [-1, 0, 1]
+
+
+def _divmod_table(values: np.ndarray, L: int, N: int, binary: bool) -> dict:
+    """The block table decoded one distinct code at a time with divmod."""
+    base, shift = (2, 0) if binary else (3, 1)
+    codes, counts = np.unique(_encode_windows(values, L, N, binary), return_counts=True)
+    table = {}
+    for code, m in zip(codes.tolist(), counts.tolist()):
+        word = []
+        for _ in range(L):
+            code, digit = divmod(code, base)
+            word.append(digit - shift)
+        table[tuple(reversed(word))] = m
+    return table
+
+
+def test_block_table_decodes_as_divmod_does(mu_window, sq_window):
+    N = 2 * 10**6
+    for values, L, binary in ((mu_window, 12, False), (sq_window, 20, True)):
+        table = empirical_block_measure(values, L, N).counts
+        assert sorted(table.items()) == sorted(_divmod_table(values, L, N, binary).items())
+
+
 def test_square_map_and_apply_signs_roundtrip():
     x = Block2(np.array([1, 0, 0, 1, 1, 0, 1], dtype=np.int8))
     signs = np.array([1, -1, -1, 1], dtype=np.int8)
