@@ -30,6 +30,12 @@ to end, each in a fresh process and with start-up included:
 (layers.decay_battery_s), and the Tier-1 test suite, `python -m pytest -q
 --continue-on-collection-errors` with src/ on the path (layers.tier1_s).
 
+The checkouts' paths should have the same length: lab_cached's
+peak_rss_mb was seen to move by about its 0.1 MiB bound with the
+checkout's directory name, though that pass never sieves, so a difference
+in path length can pass for a change in the code.  A warning line is
+printed when the resolved paths differ in length.
+
 For each checkout it writes BENCH_<TAG>.json into --out-dir.  Each metric
 gets its median, interquartile range and sample count.  The file also
 holds the seeds, the commit of the checkout (and whether its tracked files
@@ -121,7 +127,7 @@ def time_lag_sums(checkout: Path) -> float:
         "import time\n"
         "from mflab.experiments import sign_window, small_correlation_fraction\n"
         "from mflab.sequences import BoundedSeq, correlation_table\n"
-        f"mu = sign_window('mobius', {LAG_X} + 8)  # fills all three labels\n"
+        f"mu = sign_window('mobius', {LAG_X} + 8)  # fills both sign labels\n"
         "g = BoundedSeq.from_samples(mu[: 10**6 + 128], label='mobius', sup_bound=1.0)\n"
         "t = time.perf_counter()\n"
         "correlation_table(g, 10**6, 128)\n"
@@ -192,6 +198,9 @@ def main() -> int:
         if not sep or not tag or not (Path(path) / "perfbench" / "run.py").is_file():
             ap.error(f"--checkout needs TAG=PATH of an mflab checkout, got {item!r}")
         checkouts[tag] = Path(path).resolve()
+    if len({len(str(path)) for path in checkouts.values()}) > 1:
+        print("warning: checkout paths differ in length, which moves peak_rss_mb: "
+              + ", ".join(f"{tag}={path}" for tag, path in checkouts.items()), flush=True)
 
     records = {tag: {"tag": tag, **code_state(path),
                      "seeds": list(SEEDS), "seconds": RUN_SECONDS,

@@ -15,10 +15,11 @@ experiment's params once per report (see build_experiment), refusing
 unknown or missing names and any value of the wrong type or range.
 Reports are JSON with sorted keys, so identical configurations produce
 byte-identical files apart from the wall-clock field.  Every window is read
-through one WindowStore, which refuses to grow a window past its limit.
-The kernels are reductions over summation.blocks, which streams their
-windows in slices of BLOCK indices (the lag sums pack spans of PLANE_SPAN),
-so the store's windows are the only arrays of window length a run holds.
+through one WindowStore, which sieves only the two sign labels (mu^2 is
+read off mu) and refuses to grow a window past its limit.  The kernels are
+reductions over summation.blocks, which streams their windows in slices of
+BLOCK indices (the lag sums pack spans of PLANE_SPAN), so the store's
+windows are the only arrays of window length a run holds.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ DEFAULT_GRID = (10**5, 10**6, 10**7)
 # above short_interval's 2X + H = 3e7 at X = H = 1e7
 WINDOW_LIMIT = 1 << 25
 # what a config.run batch with allow_large raises a lower limit to: a sixth of
-# the physical memory, as three int8 labels are held, and one old array
-# next to them, while a window grows
+# the physical memory, as up to three int8 windows are held, and one old
+# array next to them, while a window grows
 LARGE_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 6
 
 
@@ -66,18 +67,17 @@ LARGE_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 6
 
 
 class WindowStore:
-    """Owner of the memoised sign windows: per label, the values for n = 1..len.
+    """Owner of the memoised windows: per label, the values for n = 1..len.
 
     Windows only grow: adopt takes a longer one from load_caches, and get
-    sieves the missing tail.  A growth rounds the new length up to a
-    multiple of the sieve segment and fills, in the same pass, every label
-    whose window ends where the requested one does, so a battery touching
-    all three labels sieves each index once.  Grown windows are written
-    into new arrays, never resized in place, as callers keep views.  Each
-    old window is copied into its grown array and the store then holds the
-    copied prefix, so the old array is freed before the tail is sieved.  If
-    the sieve raises, the store keeps those prefixes (no entry for a window
-    grown from nothing) and never serves a half-filled window.
+    sieves the missing tail up to a multiple of the sieve segment, filling
+    mobius and liouville in one pass when their windows end at the same
+    index.  A square-free window is held only once asked for (or adopted):
+    mu & 1 over the whole Mobius window.  Grown windows are new arrays, as
+    callers keep views; each old window is copied into its grown array and
+    the store holds that prefix, so the old array is freed before the tail
+    is sieved.  If the sieve raises, the store keeps those prefixes (no
+    entry for a window grown from nothing), never a half-filled window.
 
     limit is the longest window get grows to: a request for more raises
     WindowLimitError before anything is sieved or allocated.  Windows
@@ -108,14 +108,18 @@ class WindowStore:
             if hi > self.limit:
                 raise WindowLimitError(f"a {label} window of {hi} indices would pass the limit "
                                        f"of {self.limit}; set allow_large in a config to raise it")
-            self._extend(label, hi)
+            if label == "squarefree":
+                self.get("mobius", hi)
+                self._windows[label] = self._windows["mobius"] & 1
+            else:
+                self._extend(label, hi)
         return self._windows[label][:hi]
 
     def _extend(self, label: str, hi: int) -> None:
         stop = self._length(label)
         new_stop = -(-hi // SEGMENT) * SEGMENT
         grown: dict[str, np.ndarray] = {}
-        for name in LABELS:
+        for name in ("mobius", "liouville"):
             if self._length(name) == stop:
                 grown[name] = np.empty(new_stop, dtype=np.int8)
                 if stop:
@@ -138,8 +142,8 @@ def sign_window(label: str, hi: int) -> np.ndarray:
     Served from the module's WindowStore, which holds what load_caches put
     there and what earlier calls sieved.  A window too short for hi is
     extended by sieving only the indices past its end, up to hi rounded up
-    to a multiple of SEGMENT; labels whose windows end at the same index
-    are extended by the same pass.  The result is a view: later growth
+    to a multiple of SEGMENT, for both sign labels when they end together;
+    squarefree is mu & 1.  The result is a view: later growth
     allocates new arrays and leaves views handed out earlier intact.  A
     window that would grow past the store's limit raises WindowLimitError.
     """
@@ -192,17 +196,14 @@ def mobius_exponential_sum(theta: float, N: int) -> complex:
 
 def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
     """Mobius average twisted by exp(i n theta), restricted to the n whose
-    shifted neighbours n + a are all square-free."""
+    shifted neighbours n + a are all square-free, as mobius(n + a)^2 = 1."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
     shifts = sorted(set(int(a) for a in shifts))
     if min(shifts, default=1) < 1:
         raise InvalidRangeError("shifts must be >= 1")
-    reach = max(shifts, default=0)
-    # the longer window first: one pass fills both, or the limit refuses before any sieving
-    sq = sign_window("squarefree", N + reach)
-    mu = sign_window("mobius", N)
-    return modulated_average([mu] + [sq[a:] for a in shifts], theta, N)
+    mu = sign_window("mobius", N + max(shifts, default=0))
+    return modulated_average([mu] + [mu[a:] for a in shifts] * 2, theta, N)
 
 
 @dataclass(frozen=True)

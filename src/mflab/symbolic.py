@@ -51,14 +51,15 @@ RESIDUE_PRIME_LIMIT = isqrt(MAX_INDEX)  # 3037000499, the largest p with p^2 in 
 
 def _word(values, alphabet=(-1, 0, 1), head: int | None = None) -> tuple[np.ndarray, bool]:
     """values as a 1-D int8 array, and whether its first head symbols (all
-    when None) lie in {0, 1}; ValueError unless they lie in alphabet: (0, 1),
-    (-1, 0, 1) or the signs (-1, 1).  min() and max() need no temporary of
-    the word's size, and count_nonzero tells signs from a ternary word.  All
-    three read values in their own dtype, so a wider integer such as 256 is
-    refused before the int8 cast could wrap it; int8 values are not copied."""
+    when None) lie in {0, 1}; ValueError unless they are integers (a float
+    cast would truncate 0.5) in alphabet: (0, 1), (-1, 0, 1) or the signs
+    (-1, 1).  min() and max() need no temporary of the word's size, and
+    count_nonzero tells signs from a ternary word.  All three read values
+    in their own dtype, so 256 is refused before the int8 cast could wrap
+    it; int8 values are not copied."""
     arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError("block values must be one-dimensional")
+    if arr.ndim != 1 or arr.size and arr.dtype.kind not in "biu":
+        raise ValueError("block values must be one-dimensional integers")
     part = arr[:head]
     lo, hi = (part.min(), part.max()) if part.size else (0, 0)
     if lo < alphabet[0] or hi > alphabet[-1] or (
@@ -186,16 +187,16 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
 
     The product estimate truncates at MIRSKY_PRIME_BOUND and handles the zero set
     by inclusion-exclusion over its subsets (capped at 20 shifts).  The
-    empirical frequency counts matches among n = 1..n_check against a
-    square-free indicator window, read through experiments.sign_window when
-    not given (so the window limit and loaded caches apply).
+    empirical frequency counts matches among n = 1..n_check, n square-free
+    where the window is nonzero: the Mobius window unless given, read
+    through experiments.sign_window (so the limit and loaded caches apply).
 
     Args:
         ones: shifts required square-free.
         zeros: shifts required not square-free; disjoint from ones.
         n_check: empirical sample size, >= 1.
-        squarefree_window: optional indicator values for n = 1 onward, at
-            least n_check + max shift long.
+        squarefree_window: optional indicator or Mobius values for n = 1
+            onward, at least n_check + max shift long.
     """
     ones = sorted(set(int(a) for a in ones))
     zeros = sorted(set(int(b) for b in zeros))
@@ -219,7 +220,7 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
 
     reach = max(ones + zeros, default=0)
     if squarefree_window is None:
-        squarefree_window = sign_window("squarefree", n_check + reach)
+        squarefree_window = sign_window("mobius", n_check + reach)
     if len(squarefree_window) < n_check + reach:
         raise WindowTooLongError("square-free window shorter than n_check plus max shift")
     mask = np.empty(min(BLOCK, n_check), dtype=bool)
@@ -229,9 +230,9 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
         size = min(BLOCK, n_check - b)
         m, t = mask[:size], hit[:size]
         m.fill(True)
-        for shifts, want in ((ones, 1), (zeros, 0)):
+        for shifts, test in ((ones, np.not_equal), (zeros, np.equal)):
             for a in shifts:
-                np.equal(squarefree_window[b + a : b + a + size], want, out=t)
+                test(squarefree_window[b + a : b + a + size], 0, out=t)
                 m &= t
         count += int(np.count_nonzero(m))
     empirical = count / n_check

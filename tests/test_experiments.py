@@ -33,7 +33,15 @@ from mflab.experiments import (
 )
 from mflab.sequences import BoundedSeq, TrigPoly, correlation_table, cross_correlation
 from mflab.sieve import LABELS, SEGMENT, SignSeq, sieve
-from mflab.summation import BLOCK, CHUNK, PLANE_SPAN, blocks, lag_sums, product_sum
+from mflab.summation import (
+    BLOCK,
+    CHUNK,
+    PLANE_SPAN,
+    blocks,
+    lag_sums,
+    modulated_average,
+    product_sum,
+)
 from mflab.symbolic import mirsky_cylinder_density
 
 TAU = 2.0 * math.pi
@@ -326,12 +334,46 @@ def test_sign_window_grows_and_reuses(fresh_windows, sieve_calls):
     assert len(sieve_calls) == 1
 
     grown = sign_window("squarefree", SEGMENT + 5)
-    assert sieve_calls[1] == ("squarefree", SEGMENT + 1, 2 * SEGMENT + 1)
+    # the square-free window is read off the grown mobius window
+    assert sieve_calls[1] == ("mobius", SEGMENT + 1, 2 * SEGMENT + 1)
     assert np.array_equal(grown, sieve("squarefree", 1, SEGMENT + 6).values)
     assert len(sign_window("mobius", 2 * SEGMENT)) == 2 * SEGMENT
     assert len(sieve_calls) == 2
     # views handed out before the growth still hold the old values
     assert np.array_equal(first, sieve("mobius", 1, 101).values)
+
+
+@pytest.mark.parametrize("cache_length, passes", [
+    (0, [(1, SEGMENT + 1), (SEGMENT + 1, 2 * SEGMENT + 1), (2 * SEGMENT + 1, 4 * SEGMENT + 1)]),
+    # derived over the whole cached window, so the first three requests share it
+    (SEGMENT + 3001, [(SEGMENT + 3002, 4 * SEGMENT + 1)]),
+])
+def test_squarefree_window_is_mobius_squared(tmp_path, fresh_windows, sieve_calls,
+                                             cache_length, passes):
+    if cache_length:
+        write_cache(tmp_path / "mobius.bin", sieve("mobius", 1, cache_length + 1))
+        load_caches(tmp_path)
+    for hi in (SEGMENT - 1, SEGMENT, SEGMENT + 1, 3 * SEGMENT + 5):
+        window = sign_window("squarefree", hi)
+        assert window.dtype == np.int8
+        assert np.array_equal(window, sieve("squarefree", 1, hi + 1).values)
+    assert sieve_calls == [("mobius", *span) for span in passes]
+
+
+@pytest.mark.parametrize("N", [BLOCK - 1, BLOCK + 1, CHUNK - 1, CHUNK + 17])
+@pytest.mark.parametrize("theta", [0.0, THETA_STAR])
+def test_squarefree_modulated_sum_equals_sieved_squarefree_factors(mu_window, N, theta):
+    shifts = [1, 2, 5]
+    sq = sieve("squarefree", 1, N + 6).values
+    want = modulated_average([mu_window] + [sq[a:] for a in shifts], theta, N)
+    assert squarefree_modulated_sum(shifts, theta, N) == want
+
+
+def test_battery_experiments_hold_no_squarefree_window(fresh_windows):
+    mobius_exponential_sum(THETA_STAR, 10**5)
+    two_point_correlation(1, 10**5)
+    squarefree_modulated_sum([1, 2], 0.0, 10**5)
+    assert sorted(ex.WINDOWS._windows) == ["liouville", "mobius"]
 
 
 def test_growth_frees_the_old_windows_before_sieving():
@@ -343,9 +385,9 @@ def test_growth_frees_the_old_windows_before_sieving():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the three grown windows and the sieve's own scratch; holding the old
-    # windows through the sieve pass would add 3 * SEGMENT
-    assert peak < 12 * SEGMENT + 2.25 * SEGMENT
+    # the two grown windows and the sieve's own flags, words and scratch;
+    # holding the old windows through the sieve pass would add 2 * SEGMENT
+    assert peak < 8 * SEGMENT + 3.25 * SEGMENT
 
 
 @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
@@ -398,7 +440,8 @@ def test_window_limit_boundary(sieve_calls):
     assert len(sieve_calls) == 1
 
 
-def test_library_window_past_the_limit_allocates_nothing(fresh_windows, monkeypatch):
+@pytest.mark.parametrize("label", ["mobius", "squarefree"])
+def test_library_window_past_the_limit_allocates_nothing(fresh_windows, monkeypatch, label):
     def no_sieve(label, lo, hi, out=None):
         raise AssertionError(f"sieved {label} on [{lo}, {hi})")
 
@@ -407,7 +450,7 @@ def test_library_window_past_the_limit_allocates_nothing(fresh_windows, monkeypa
     tracemalloc.start()
     try:
         with pytest.raises(WindowLimitError, match="allow_large"):
-            sign_window("mobius", 10**9)
+            sign_window(label, 10**9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -23,6 +23,7 @@ from mflab.errors import (
     ZeroSetTooLargeError,
 )
 from mflab.sieve import primes_upto
+from mflab.summation import BLOCK
 from mflab.symbolic import (
     _BINARY_LEN_CAP,
     _TERNARY_LEN_CAP,
@@ -138,6 +139,15 @@ def test_mirsky_empirical_is_exact_count(sq_window):
         1 for n in range(1, n_check + 1)
         if sq[n - 1] == 1 and sq[n + 1] == 1 and sq[n] == 0)
     assert md.empirical == hits / n_check
+
+
+@pytest.mark.parametrize("ones, zeros", [([0], []), ([0, 1, 3], [2, 6]), ([], [0, 7])])
+def test_mirsky_counts_from_the_mobius_window_match_the_squarefree_window(ones, zeros,
+                                                                           sq_window, mu_window):
+    n_check = 3 * BLOCK + 5
+    md = mirsky_cylinder_density(ones, zeros, n_check)
+    assert md == mirsky_cylinder_density(ones, zeros, n_check, squarefree_window=sq_window)
+    assert md == mirsky_cylinder_density(ones, zeros, n_check, squarefree_window=mu_window)
 
 
 def _unique_product(shifts, primes):
@@ -395,6 +405,18 @@ def test_wide_integers_are_range_checked_before_the_int8_cast():
         Block3(np.array([-255, 0], dtype=np.int16))
     word = Block3(np.array([-1, 0, 1], dtype=np.int64))
     assert word.values.dtype == np.int8 and word.values.tolist() == [-1, 0, 1]
+
+
+def test_fractional_words_are_refused_before_the_int8_cast():
+    # an int8 cast alone would read 0.5 and 0.9 as 0
+    with pytest.raises(ValueError, match="block values"):
+        Block2(np.array([0.5, 1.0, 0.9]))
+    with pytest.raises(ValueError, match="block values"):
+        empirical_block_measure([0.5, 1, 0.2], 1, 3)
+    with pytest.raises(ValueError, match="block values"):
+        Block3(np.array([1.0, -1.0]))
+    assert Block2(np.array([True, False])).values.tolist() == [1, 0]
+    assert len(Block2([])) == 0
 
 
 def _divmod_table(values: np.ndarray, L: int, N: int, binary: bool) -> dict:
