@@ -1,8 +1,7 @@
 """mflab: a numerical laboratory for multiplicative sign sequences.
 
 Sieves for the Mobius, Liouville and square-free indicators; lag
-correlations and almost periodic approximation; measures on the circle
-with Hellinger affinity; periodograms with analytic coefficient checks;
+correlations; measures on the circle with Hellinger affinity; periodograms with analytic coefficient checks;
 block combinatorics for square-free patterns; and a battery of decay
 experiments with deterministic JSON reports.
 """
@@ -37,13 +36,10 @@ from .sequences import (
     BoundedSeq,
     CorrelationTable,
     TrigPoly,
-    besicovitch_distance,
     correlation_table,
     cross_correlation,
-    modulate,
-    trig_approx,
 )
-from .sieve import PrimeBasis, SignSeq, factor_oracle, is_prime, primes_upto, sieve
+from .sieve import PrimeBasis, SignSeq, factor_oracle, primes_upto, sieve
 from .spectral import (
     Periodogram,
     coefficient_consistency,
@@ -58,10 +54,8 @@ from .symbolic import (
     apply_signs,
     block_entropy_estimate,
     empirical_block_measure,
-    extract_signs,
     is_admissible,
     mirsky_cylinder_density,
-    residue_count,
     shift_invariance_defect,
     skew_step,
     square_map,

@@ -34,10 +34,6 @@ class GridMismatchError(ValueError):
     """Two measures with incompatible bin grids."""
 
 
-class NonPrimeError(ValueError):
-    """Modulus that must be prime is not."""
-
-
 class NotDisjointError(ValueError):
     """Shift sets that must be disjoint overlap."""
 

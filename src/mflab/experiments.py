@@ -57,8 +57,9 @@ DEFAULT_GRID = (10**5, 10**6, 10**7)
 # above short_interval's 2X + H = 3e7 at X = H = 1e7
 WINDOW_LIMIT = 1 << 25
 # what a config.run batch with allow_large raises a lower limit to: a sixth of
-# the physical memory, as up to three int8 windows are held, and one old
-# array next to them, while a window grows
+# the physical memory, as the store holds two sieved int8 windows, a third
+# (square-free, derived from mu) only when one is asked for, and while the
+# sieved windows grow, one old window next to the two grown ones
 LARGE_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 6
 
 
@@ -73,14 +74,17 @@ class WindowStore:
     sieves the missing tail up to a multiple of the sieve segment, filling
     mobius and liouville in one pass when their windows end at the same
     index.  A square-free window is held only once asked for (or adopted):
-    mu & 1 over the whole Mobius window.  Grown windows are new arrays, as
-    callers keep views; each old window is copied into its grown array and
-    the store holds that prefix, so the old array is freed before the tail
-    is sieved.  If the sieve raises, the store keeps those prefixes (no
-    entry for a window grown from nothing), never a half-filled window.
+    mu & 1 over the whole Mobius window.  Growing the Mobius window past it
+    drops it, and the next request derives it again.  Grown windows are new
+    arrays, as callers keep views; each old window is copied into its grown
+    array and the store holds that prefix, so the old array is freed before
+    the tail is sieved.  If the sieve raises, the store keeps those
+    prefixes (no entry for a window grown from nothing), never a
+    half-filled window.
 
     limit is the longest window get grows to: a request for more raises
-    WindowLimitError before anything is sieved or allocated.  Windows
+    WindowLimitError before anything is sieved or allocated; a square-free
+    request is refused only when the Mobius window must grow.  Windows
     already held (adopted from a cache, or grown under a higher limit) are
     served at any length.
     """
@@ -105,12 +109,13 @@ class WindowStore:
         if hi < 1:
             raise InvalidRangeError(f"need hi >= 1, got {hi}")
         if self._length(label) < hi:
-            if hi > self.limit:
-                raise WindowLimitError(f"a {label} window of {hi} indices would pass the limit "
-                                       f"of {self.limit}; set allow_large in a config to raise it")
             if label == "squarefree":
+                # the limit binds only if the Mobius window must grow
                 self.get("mobius", hi)
                 self._windows[label] = self._windows["mobius"] & 1
+            elif hi > self.limit:
+                raise WindowLimitError(f"a {label} window of {hi} indices would pass the limit "
+                                       f"of {self.limit}; set allow_large in a config to raise it")
             else:
                 self._extend(label, hi)
         return self._windows[label][:hi]
@@ -118,6 +123,8 @@ class WindowStore:
     def _extend(self, label: str, hi: int) -> None:
         stop = self._length(label)
         new_stop = -(-hi // SEGMENT) * SEGMENT
+        if self._length("mobius") == stop and self._length("squarefree") < new_stop:
+            self._windows.pop("squarefree", None)
         grown: dict[str, np.ndarray] = {}
         for name in ("mobius", "liouville"):
             if self._length(name) == stop:

@@ -241,25 +241,26 @@ def smoothed(eta: TorusMeasure, scale: float) -> TorusMeasure:
     return TorusMeasure(bins, out / width, [])
 
 
-def to_json_dict(eta: TorusMeasure) -> dict:
-    return {
+def write_json(eta: TorusMeasure, path: str | Path) -> None:
+    obj = {
         "bins": eta.bins,
         "density": [float(x) for x in eta.density],
         "atoms": [{"pos": p, "mass": m} for p, m in eta.atoms],
     }
-
-
-def from_json_dict(obj: dict) -> TorusMeasure:
-    return TorusMeasure(
-        int(obj["bins"]),
-        np.array(obj["density"], dtype=np.float64),
-        [(float(a["pos"]), float(a["mass"])) for a in obj.get("atoms", [])],
-    )
-
-
-def write_json(eta: TorusMeasure, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(eta), sort_keys=True))
+    Path(path).write_text(json.dumps(obj, sort_keys=True))
 
 
 def read_json(path: str | Path) -> TorusMeasure:
-    return from_json_dict(json.loads(Path(path).read_text()))
+    """The measure write_json stored at path; ValueError, naming the file,
+    when a key is missing or a value has the wrong type."""
+    obj = json.loads(Path(path).read_text())
+    try:
+        return TorusMeasure(
+            int(obj["bins"]),
+            np.array(obj["density"], dtype=np.float64),
+            [(float(a["pos"]), float(a["mass"])) for a in obj.get("atoms", [])],
+        )
+    except KeyError as exc:
+        raise ValueError(f"measure file {str(path)!r} has no key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"measure file {str(path)!r} holds a wrong type: {exc}") from exc

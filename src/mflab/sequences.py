@@ -1,4 +1,4 @@
-"""Bounded sequences, lag correlations and almost periodic approximation.
+"""Bounded sequences, lag correlations and trigonometric polynomials.
 
 A BoundedSeq is a 1-based indexed, complex valued sequence with a known sup
 bound.  It either wraps a concrete sample window (a sieve output, say) or a
@@ -9,6 +9,8 @@ Lag correlations F_N(k) = (1/N) * sum_{n=1..N} g(n+k) * conj(g(n)) are the
 finite-scale stand-in for the autocorrelation of g; tables of them feed the
 spectral modules.  Averages use the chunked compensated summation helper;
 windows backed by integer samples take an exact integer path instead.
+A TrigPoly is the checked (frequencies, coefficients) pair that
+experiments.rotation_orthogonality sums against.
 """
 
 from __future__ import annotations
@@ -79,13 +81,6 @@ class BoundedSeq:
         """The unimodular sequence n -> exp(i * n * theta)."""
         t = float(theta)
         return cls(lambda idx: np.exp(1j * t * idx), 1.0, label=f"exp({t:.6g})")
-
-
-def modulate(g: BoundedSeq, theta: float) -> BoundedSeq:
-    """Pointwise twist n -> g(n) * exp(i * n * theta); preserves sup_bound."""
-    t = float(theta)
-    return BoundedSeq(lambda idx: g.eval(idx) * np.exp(1j * t * idx),
-                      g.sup_bound, label=f"{g.label}*exp({t:.6g})")
 
 
 @dataclass
@@ -172,76 +167,3 @@ class TrigPoly:
             raise ValueError("freqs and coeffs must align")
         if len(self.freqs) > 1 and not np.all(np.diff(self.freqs) > 0):
             raise ValueError("frequencies must be strictly ascending")
-
-    def __len__(self) -> int:
-        return len(self.freqs)
-
-    def eval(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        out = np.zeros(idx.shape, dtype=np.complex128)
-        for a, c in zip(self.freqs, self.coeffs):
-            out += c * np.exp(1j * a * idx)
-        return out
-
-    def modulated(self, theta: float) -> "TrigPoly":
-        """P(n) * exp(i n theta): every frequency shifts by theta mod 2*pi."""
-        shifted = np.mod(self.freqs + theta, 2.0 * np.pi)
-        order = np.argsort(shifted, kind="stable")
-        return TrigPoly(shifted[order], self.coeffs[order])
-
-    def as_seq(self) -> BoundedSeq:
-        return BoundedSeq(self.eval, float(np.sum(np.abs(self.coeffs))), label="trigpoly")
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "re_c", "im_c"])
-            for a, c in zip(self.freqs, self.coeffs):
-                writer.writerow([repr(float(a)), repr(c.real), repr(c.imag)])
-
-
-def besicovitch_distance(g: BoundedSeq, p: TrigPoly | BoundedSeq, N: int) -> float:
-    """Mean absolute deviation (1/N) * sum_{n=1..N} |g(n) - p(n)|."""
-    if N < 1:
-        raise InvalidRangeError(f"N must be >= 1, got {N}")
-    return chunked_sum(lambda idx: np.abs(g.eval(idx) - p.eval(idx)), 1, N + 1).real / N
-
-
-def trig_approx(g: BoundedSeq, M: int, N: int) -> TrigPoly:
-    """Best-peak trigonometric approximation of g over [1, N].
-
-    Takes the M strongest bins of the size-N periodogram of g as
-    frequencies, skipping any bin within 2 grid steps of one already chosen
-    (circularly), then attaches the empirical coefficients
-    c_k = (1/N) * sum_{n=1..N} g(n) * exp(-i alpha_k n).
-
-    A sequence that vanishes identically on [1, N] yields the empty
-    polynomial.  The selection is deterministic: bins are ranked by power
-    with the lower bin index winning ties.
-    """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if N < 1:
-        raise InvalidRangeError(f"N must be >= 1, got {N}")
-    w = g.eval(np.arange(1, N + 1, dtype=np.int64)).astype(np.complex128)
-    # fft computes sum_m w[m] e^{-2 pi i j m / N} over m = 0..N-1, which is
-    # sum_n g(n) e^{-i alpha_j n} up to one factor e^{+i alpha_j}
-    spectrum = np.fft.fft(w)
-    power = np.abs(spectrum) ** 2
-    order = np.argsort(-power, kind="stable")
-    chosen: list[int] = []
-    blocked = np.zeros(N, dtype=bool)
-    for j in order:
-        if len(chosen) == M:
-            break
-        if blocked[j] or power[j] == 0.0:
-            continue
-        chosen.append(int(j))
-        for d in range(-2, 3):
-            blocked[(j + d) % N] = True
-    if not chosen:
-        return TrigPoly(np.empty(0), np.empty(0, dtype=np.complex128))
-    bins = np.array(sorted(chosen), dtype=np.int64)
-    alphas = 2.0 * np.pi * bins / N
-    coeffs = spectrum[bins] * np.exp(-1j * alphas) / N
-    return TrigPoly(alphas, coeffs)

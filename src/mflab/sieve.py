@@ -62,7 +62,6 @@ SEGMENT = 1 << 20
 MAX_INDEX = 2**63 - 1
 SIEVE_LIMIT = 10**16  # largest hi sieve() takes: a 1e8-entry base-prime table
 FACTOR_ORACLE_LIMIT = 10**9
-MILLER_RABIN_LIMIT = 3_215_031_751  # least strong pseudoprime to the bases 2, 3, 5 and 7
 
 LABELS = ("mobius", "liouville", "squarefree")
 
@@ -116,12 +115,6 @@ class SignSeq:
         if not self.start <= n < self.stop:
             raise InvalidRangeError(f"index {n} outside window [{self.start}, {self.stop})")
         return int(self.values[n - self.start])
-
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """View of the values on [lo, hi)."""
-        if not (self.start <= lo < hi <= self.stop):
-            raise InvalidRangeError(f"[{lo}, {hi}) not inside [{self.start}, {self.stop})")
-        return self.values[lo - self.start : hi - self.start]
 
 
 def primes_upto(bound: int) -> PrimeBasis:
@@ -179,28 +172,6 @@ def factor_oracle(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test with the bases 2, 3, 5 and 7: exact,
-    and table-free, below MILLER_RABIN_LIMIT; RangeOverflowError from there on."""
-    if n >= MILLER_RABIN_LIMIT:
-        raise RangeOverflowError(f"is_prime is exact below {MILLER_RABIN_LIMIT}, got {n}")
-    if n < 2 or any(n % a == 0 for a in (2, 3, 5, 7)):
-        return n in (2, 3, 5, 7)
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
-    d = (n - 1) >> s
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def oracle_values(n: int) -> tuple[int, int, int]:

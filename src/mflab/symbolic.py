@@ -31,22 +31,19 @@ import numpy as np
 from .errors import (
     BlockExhaustedError,
     InvalidRangeError,
-    NonPrimeError,
     NotDisjointError,
-    RangeOverflowError,
     SignWordTooShortError,
     WindowTooLongError,
     ZeroSetTooLargeError,
 )
 from .experiments import sign_window
-from .sieve import MAX_INDEX, is_prime, primes_upto
+from .sieve import primes_upto
 from .summation import BLOCK
 
 MIRSKY_PRIME_BOUND = 10**4
 ZERO_SET_CAP = 20
 _BINARY_LEN_CAP = 64
 _TERNARY_LEN_CAP = 39
-RESIDUE_PRIME_LIMIT = isqrt(MAX_INDEX)  # 3037000499, the largest p with p^2 in int64
 
 
 def _word(values, alphabet=(-1, 0, 1), head: int | None = None) -> tuple[np.ndarray, bool]:
@@ -113,26 +110,6 @@ class SkewPoint:
         if lead == 0:
             return 0
         return int(self.signs[0])
-
-
-def residue_count(p: int, shifts) -> int:
-    """Number of distinct residues of the shift set modulo p^2.
-
-    p must be a prime (checked by sieve.is_prime) with p^2 in int64, so
-    p <= RESIDUE_PRIME_LIMIT, else RangeOverflowError; shifts must be
-    non-empty.
-    """
-    shifts = set(map(int, shifts))
-    if not shifts:
-        raise InvalidRangeError("shift set must be non-empty")
-    if min(shifts) < 0:
-        raise InvalidRangeError("shifts must be non-negative")
-    if p > RESIDUE_PRIME_LIMIT:
-        raise RangeOverflowError(f"p^2 must fit int64, so p <= {RESIDUE_PRIME_LIMIT}, got {p}")
-    if not is_prime(p):
-        raise NonPrimeError(f"{p} is not prime")
-    square = p * p
-    return len({a % square for a in shifts})
 
 
 def is_admissible(shifts) -> bool:
@@ -416,8 +393,3 @@ def apply_signs(x: Block2, signs) -> Block3:
     out = np.zeros(len(x.values), dtype=np.int8)
     out[x.values == 1] = signs[:ones]
     return Block3(out, start=x.start)
-
-
-def extract_signs(y: Block3) -> tuple[Block2, np.ndarray]:
-    """Inverse of apply_signs up to unused signs: (support word, signs read)."""
-    return square_map(y), y.values[y.values != 0].copy()

@@ -79,6 +79,20 @@ def test_affinity_command(tmp_path, capsys):
     assert lines[1].startswith("hellinger 1.414213562")
 
 
+@pytest.mark.parametrize("measure", [{"density": [0.1, 0.2]},
+                                     {"bins": 2, "density": [0.1, 0.2], "atoms": [{"pos": 1.0}]},
+                                     [0.1, 0.2]])
+def test_affinity_on_a_malformed_measure_file_exits_two(measure, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(measure))
+    good = tmp_path / "good.json"
+    write_json(TorusMeasure.uniform(2), good)
+    assert main(["affinity", "--lhs", str(good), "--rhs", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and out.startswith("error: ") and str(bad) in out
+    assert "Traceback" not in out + err
+
+
 def test_admissible_command(capsys):
     assert main(["admissible", "--set", "0,1,2"]) == 0
     assert capsys.readouterr().out.strip() == "admissible"

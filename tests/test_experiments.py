@@ -377,17 +377,42 @@ def test_battery_experiments_hold_no_squarefree_window(fresh_windows):
 
 
 def test_growth_frees_the_old_windows_before_sieving():
+    grown = {name: np.empty(SEGMENT, dtype=np.int8) for name in ("mobius", "liouville")}
     store = WindowStore()
     tracemalloc.start()
     try:
+        # one pass as the store makes it, over the last segment of the growth below
+        sieve("mobius", 3 * SEGMENT + 1, 4 * SEGMENT + 1, out=dict(grown))
+        one_pass = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         store.get("mobius", SEGMENT)
         store.get("mobius", 4 * SEGMENT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the two grown windows and the sieve's own flags, words and scratch;
+    # the two grown windows, the sieve's own flags, words and scratch, and
+    # a page for the store's dicts and array headers (about 1.2 KB);
     # holding the old windows through the sieve pass would add 2 * SEGMENT
-    assert peak < 8 * SEGMENT + 3.25 * SEGMENT
+    assert peak < 8 * SEGMENT + one_pass + 4096
+
+
+def test_growing_mobius_drops_a_shorter_squarefree_window(sieve_calls):
+    store = WindowStore()
+    store.get("squarefree", 10)
+    store.get("mobius", 3 * SEGMENT)
+    assert {k: len(v) for k, v in store._windows.items()} == {
+        "mobius": 3 * SEGMENT, "liouville": 3 * SEGMENT}
+    got = store.get("squarefree", 2 * SEGMENT + 5)
+    assert np.array_equal(got, sieve("squarefree", 1, 2 * SEGMENT + 6).values)
+    assert sieve_calls == [("mobius", 1, SEGMENT + 1), ("mobius", SEGMENT + 1, 3 * SEGMENT + 1)]
+
+
+def test_squarefree_read_off_a_held_mobius_window_passes_the_limit(sieve_calls):
+    store = WindowStore(limit=SEGMENT)
+    store.adopt(sieve("mobius", 1, 2 * SEGMENT + 1))
+    got = store.get("squarefree", SEGMENT + 5)
+    assert np.array_equal(got, sieve("squarefree", 1, SEGMENT + 6).values)
+    assert sieve_calls == []
 
 
 @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])

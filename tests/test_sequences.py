@@ -1,4 +1,4 @@
-"""Lag correlations, trigonometric polynomials, and peak-picking approximation."""
+"""Lag correlations and trigonometric polynomials."""
 
 import csv
 import math
@@ -12,11 +12,8 @@ from mflab.errors import InvalidRangeError, LagTooLargeError
 from mflab.sequences import (
     BoundedSeq,
     TrigPoly,
-    besicovitch_distance,
     correlation_table,
     cross_correlation,
-    modulate,
-    trig_approx,
 )
 from mflab.sieve import sieve
 from mflab.summation import BLOCK, PLANE_SPAN, lag_sums
@@ -142,100 +139,6 @@ def test_trigpoly_validation():
         TrigPoly(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         TrigPoly(np.array([0.5]), np.array([1.0, 2.0]))
-
-
-def test_trigpoly_eval_and_modulation():
-    poly = TrigPoly(np.array([0.7, 1.9]), np.array([2.0 + 0j, 1j]))
-    idx = np.arange(1, 50, dtype=np.int64)
-    direct = 2.0 * np.exp(1j * 0.7 * idx) + 1j * np.exp(1j * 1.9 * idx)
-    assert np.allclose(poly.eval(idx), direct, atol=1e-14)
-    shifted = poly.modulated(0.9)
-    assert np.allclose(shifted.eval(idx), direct * np.exp(1j * 0.9 * idx), atol=1e-12)
-    assert np.all(np.diff(shifted.freqs) > 0)
-
-
-def test_modulate_matches_poly_modulation():
-    poly = TrigPoly(np.array([0.7]), np.array([1.5 + 0j]))
-    g = modulate(poly.as_seq(), 1.3)
-    idx = np.arange(1, 40, dtype=np.int64)
-    assert np.allclose(g.eval(idx), poly.modulated(1.3).eval(idx), atol=1e-12)
-
-
-def test_besicovitch_distance_to_self_is_zero():
-    poly = TrigPoly(np.array([1.234]), np.array([0.5 + 0.5j]))
-    assert besicovitch_distance(poly.as_seq(), poly, 300) < 1e-14
-
-
-def test_besicovitch_distance_to_zero_poly():
-    g = BoundedSeq.exponential(0.77)
-    empty = TrigPoly(np.array([]), np.array([]))
-    assert abs(besicovitch_distance(g, empty, 250) - 1.0) < 1e-12
-
-
-def test_trig_approx_recovers_grid_tone():
-    N = 256
-    alpha = TAU * 5 / N
-    g = BoundedSeq(lambda idx: 3.0 * np.exp(1j * alpha * idx), 3.0)
-    poly = trig_approx(g, 1, N)
-    assert len(poly.freqs) == 1
-    assert abs(poly.freqs[0] - alpha) < 1e-12
-    assert abs(poly.coeffs[0] - 3.0) < 1e-9
-
-
-def test_trig_approx_ranks_two_tones():
-    N = 512
-    a1, a2 = TAU * 20 / N, TAU * 100 / N
-    g = BoundedSeq(
-        lambda idx: 2.0 * np.exp(1j * a1 * idx) + 1.0 * np.exp(1j * a2 * idx), 3.0)
-    poly = trig_approx(g, 2, N)
-    assert len(poly.freqs) == 2
-    got = sorted(zip(poly.freqs, poly.coeffs))
-    assert abs(got[0][0] - a1) < 1e-12 and abs(got[0][1] - 2.0) < 1e-9
-    assert abs(got[1][0] - a2) < 1e-12 and abs(got[1][1] - 1.0) < 1e-9
-
-
-def test_trig_approx_blocks_adjacent_bins():
-    # two grid tones one bin apart: the exclusion zone suppresses the weaker,
-    # so the real second tone never appears; any further greedy pick is a
-    # leakage bin with a negligible coefficient
-    N = 128
-    a1, a2 = TAU * 30 / N, TAU * 31 / N
-    g = BoundedSeq(
-        lambda idx: 2.0 * np.exp(1j * a1 * idx) + 1.0 * np.exp(1j * a2 * idx), 3.0)
-    poly = trig_approx(g, 2, N)
-    by_freq = dict(zip(poly.freqs, poly.coeffs))
-    assert any(abs(f - a1) < 1e-12 for f in poly.freqs)
-    assert all(abs(f - a2) > 1e-12 for f in poly.freqs)
-    for f, c in by_freq.items():
-        if abs(f - a1) > 1e-12:
-            assert abs(c) < 1e-10
-
-
-def test_trig_approx_of_zero_sequence_is_empty():
-    g = BoundedSeq(lambda idx: np.zeros(len(idx), dtype=np.complex128), 1.0)
-    poly = trig_approx(g, 3, 64)
-    assert len(poly.freqs) == 0
-    assert besicovitch_distance(g, poly, 64) == 0.0
-
-
-def test_trig_approx_distances_shrink_with_more_terms(mu_window):
-    sq = np.abs(mu_window[: 10**5]).astype(np.int8)
-    g = BoundedSeq.from_samples(sq, label="squarefree", sup_bound=1.0)
-    N = 10**5
-    dists = [besicovitch_distance(g, trig_approx(g, M, N), N) for M in (1, 5, 20)]
-    assert dists[0] > dists[1] > dists[2]
-    assert dists[2] < 0.39
-
-
-def test_trigpoly_csv_header(tmp_path):
-    poly = TrigPoly(np.array([0.25, 2.5]), np.array([1.0 + 2j, -0.5 + 0j]))
-    path = tmp_path / "poly.csv"
-    poly.write_csv(str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["alpha", "re_c", "im_c"]
-    assert len(rows) == 3
-    assert float(rows[1][0]) == 0.25
 
 
 @settings(max_examples=50, deadline=None)

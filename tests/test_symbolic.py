@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 from mflab.errors import (
     BlockExhaustedError,
     InvalidRangeError,
-    NonPrimeError,
     NotDisjointError,
-    RangeOverflowError,
     SignWordTooShortError,
     WindowTooLongError,
     ZeroSetTooLargeError,
@@ -36,43 +34,18 @@ from mflab.symbolic import (
     apply_signs,
     block_entropy_estimate,
     empirical_block_measure,
-    extract_signs,
     is_admissible,
     mirsky_cylinder_density,
-    residue_count,
     shift_invariance_defect,
     skew_step,
     square_map,
 )
 
 
-def test_residue_count_pinned():
-    assert residue_count(2, {0, 1}) == 2
-    assert residue_count(2, {0, 4}) == 1
-    assert residue_count(3, {0, 1, 2, 9}) == 3
-    assert residue_count(5, {0}) == 1
-
-
-def test_residue_count_rejects_composites():
-    for bad in (1, 4, 6, 9, 100):
-        with pytest.raises(NonPrimeError):
-            residue_count(bad, {0})
-
-
-def test_residue_count_takes_every_prime_whose_square_fits_int64():
-    assert residue_count(1_000_000_007, {0, 1, 1_000_000_007**2}) == 2
-    assert residue_count(3_037_000_493, {0, 3_037_000_493**2, 5}) == 2
-    with pytest.raises(NonPrimeError):
-        residue_count(3_037_000_499, {0})  # isqrt(2**63 - 1) itself is composite
-    with pytest.raises(RangeOverflowError):
-        residue_count(3_037_000_507, {0})  # the next prime: its square passes int64
-
-
-def test_residue_count_takes_shifts_past_int64():
-    # counted as Python ints, like is_admissible and the Mirsky product
-    assert residue_count(5, {0, 2**70}) == 2  # 2**70 = 24 mod 25
-    assert residue_count(5, {1, 2**70 + 2}) == 1
-    assert is_admissible([0, 2**70]) is True
+def test_is_admissible_takes_shifts_past_int64():
+    # residues taken as Python ints: 2**70 + 3 = 3 and 2**70 + 2 = 2 mod 4
+    assert is_admissible([0, 1, 2, 2**70 + 3]) is False
+    assert is_admissible([0, 1, 2, 2**70 + 2]) is True
 
 
 def test_admissibility_pinned():
@@ -445,9 +418,6 @@ def test_square_map_and_apply_signs_roundtrip():
     signs = np.array([1, -1, -1, 1], dtype=np.int8)
     y = apply_signs(x, signs)
     assert y.values.tolist() == [1, 0, 0, -1, -1, 0, 1]
-    back, read = extract_signs(y)
-    assert np.array_equal(back.values, x.values)
-    assert read.tolist() == [1, -1, -1, 1]
     assert np.array_equal(square_map(y).values, x.values)
 
 
