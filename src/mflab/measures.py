@@ -46,8 +46,8 @@ class TorusMeasure:
         if self.bins < 2:
             raise ValueError(f"bins must be >= 2, got {self.bins}")
         self.density = np.asarray(self.density, dtype=np.float64)
-        if len(self.density) != self.bins:
-            raise ValueError("density length must equal bins")
+        if self.density.shape != (self.bins,):
+            raise ValueError("density must have shape (bins,)")
         if np.any(self.density < 0):
             raise ValueError("density must be non-negative")
         self.atoms = sorted((float(p), float(m)) for p, m in self.atoms)
@@ -252,9 +252,9 @@ def write_json(eta: TorusMeasure, path: str | Path) -> None:
 
 def read_json(path: str | Path) -> TorusMeasure:
     """The measure write_json stored at path; ValueError, naming the file,
-    when a key is missing or a value has the wrong type."""
-    obj = json.loads(Path(path).read_text())
+    when the file holds no valid measure."""
     try:
+        obj = json.loads(Path(path).read_text())
         return TorusMeasure(
             int(obj["bins"]),
             np.array(obj["density"], dtype=np.float64),
@@ -262,5 +262,5 @@ def read_json(path: str | Path) -> TorusMeasure:
         )
     except KeyError as exc:
         raise ValueError(f"measure file {str(path)!r} has no key {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"measure file {str(path)!r} holds a wrong type: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"measure file {str(path)!r} is malformed: {exc}") from exc

@@ -1,5 +1,6 @@
 """Circle measures: affinity axioms, Fourier coefficients, smoothing, JSON."""
 
+import json
 import math
 
 import numpy as np
@@ -241,6 +242,32 @@ def test_json_roundtrip(tmp_path):
     assert back.bins == eta.bins
     assert np.allclose(back.density, eta.density, atol=0)
     assert back.atoms == eta.atoms
+
+
+def test_density_must_be_one_dimensional():
+    with pytest.raises(ValueError):
+        TorusMeasure(2, np.array([[0.1], [0.2]]))
+    with pytest.raises(ValueError):
+        TorusMeasure(2, np.array(0.1))
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"density": [0.1, 0.2]}),
+    json.dumps({"bins": 2}),
+    json.dumps({"bins": 2, "density": [0.1, 0.2], "atoms": [{"pos": 1.0}]}),
+    json.dumps([0.1, 0.2]),
+    json.dumps({"bins": "two", "density": [0.1, 0.2]}),
+    json.dumps({"bins": 2, "density": "ab"}),
+    json.dumps({"bins": 2, "density": None}),
+    json.dumps({"bins": 2, "density": [[0.1], [0.2]]}),
+    json.dumps({"bins": 2, "density": [0.1, 0.2], "atoms": [0.5]}),
+    "{not json",
+])
+def test_read_json_names_the_file_of_a_malformed_measure(text, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad.json"):
+        read_json(path)
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,6 +30,7 @@ from mflab.symbolic import (
     MIRSKY_PRIME_BOUND,
     SkewPoint,
     _encode_windows,
+    _truncated_product,
     _word,
     apply_signs,
     block_entropy_estimate,
@@ -40,6 +41,25 @@ from mflab.symbolic import (
     skew_step,
     square_map,
 )
+
+
+def _residue_count(p, shifts):
+    """t(p, A), read off the one-prime Mirsky factor 1 - t(p, A) / p^2."""
+    return round((1.0 - _truncated_product(sorted(shifts), np.array([p]))) * p * p)
+
+
+def test_residue_count_pinned():
+    assert _residue_count(2, {0, 1}) == 2
+    assert _residue_count(2, {0, 4}) == 1
+    assert _residue_count(3, {0, 1, 2, 9}) == 3
+    assert _residue_count(5, {0}) == 1
+
+
+def test_residue_count_takes_shifts_past_int64():
+    # counted as Python ints, like is_admissible
+    assert _residue_count(5, {0, 2**70}) == 2  # 2**70 = 24 mod 25
+    assert _residue_count(5, {1, 2**70 + 2}) == 1
+    assert is_admissible([0, 2**70]) is True
 
 
 def test_is_admissible_takes_shifts_past_int64():
