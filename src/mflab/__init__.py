@@ -39,7 +39,7 @@ from .sequences import (
     correlation_table,
     cross_correlation,
 )
-from .sieve import PrimeBasis, SignSeq, factor_oracle, primes_upto, sieve
+from .sieve import SignSeq, factor_oracle, primes_upto, sieve
 from .spectral import (
     Periodogram,
     coefficient_consistency,

@@ -45,7 +45,7 @@ from .errors import (
     NotDisjointError,
     WindowLimitError,
 )
-from .sequences import BoundedSeq, TrigPoly
+from .sequences import TrigPoly
 from .sieve import LABELS, SEGMENT, SignSeq, sieve
 from .summation import BLOCK, blocks, lag_sums, modulated_average, product_sum
 
@@ -57,9 +57,9 @@ DEFAULT_GRID = (10**5, 10**6, 10**7)
 # above short_interval's 2X + H = 3e7 at X = H = 1e7
 WINDOW_LIMIT = 1 << 25
 # what a config.run batch with allow_large raises a lower limit to: a sixth of
-# the physical memory, as the store holds two sieved int8 windows, a third
-# (square-free, derived from mu) only when one is asked for, and while the
-# sieved windows grow, one old window next to the two grown ones
+# the physical memory, as the store holds two sieved int8 windows, while they
+# grow one old window next to the two grown ones, and a caller may hold a
+# square-free window derived from mu as a new array of its own
 LARGE_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 6
 
 
@@ -73,12 +73,12 @@ class WindowStore:
     Windows only grow: adopt takes a longer one from load_caches, and get
     sieves the missing tail up to a multiple of the sieve segment, filling
     mobius and liouville in one pass when their windows end at the same
-    index.  A square-free window is held only once asked for (or adopted):
-    mu & 1 over the whole Mobius window.  Growing the Mobius window past it
-    drops it, and the next request derives it again.  Grown windows are new
-    arrays, as callers keep views; each old window is copied into its grown
-    array and the store holds that prefix, so the old array is freed before
-    the tail is sieved.  If the sieve raises, the store keeps those
+    index.  The store holds a square-free window only when one is adopted;
+    a request that it does not cover gets mu & 1 for n = 1..hi, a new array
+    that the caller owns and the store does not keep.  Grown windows are
+    new arrays, as callers keep views; each old window is copied into its
+    grown array and the store holds that prefix, so the old array is freed
+    before the tail is sieved.  If the sieve raises, the store keeps those
     prefixes (no entry for a window grown from nothing), never a
     half-filled window.
 
@@ -111,20 +111,16 @@ class WindowStore:
         if self._length(label) < hi:
             if label == "squarefree":
                 # the limit binds only if the Mobius window must grow
-                self.get("mobius", hi)
-                self._windows[label] = self._windows["mobius"] & 1
-            elif hi > self.limit:
+                return self.get("mobius", hi) & 1
+            if hi > self.limit:
                 raise WindowLimitError(f"a {label} window of {hi} indices would pass the limit "
                                        f"of {self.limit}; set allow_large in a config to raise it")
-            else:
-                self._extend(label, hi)
+            self._extend(label, hi)
         return self._windows[label][:hi]
 
     def _extend(self, label: str, hi: int) -> None:
         stop = self._length(label)
         new_stop = -(-hi // SEGMENT) * SEGMENT
-        if self._length("mobius") == stop and self._length("squarefree") < new_stop:
-            self._windows.pop("squarefree", None)
         grown: dict[str, np.ndarray] = {}
         for name in ("mobius", "liouville"):
             if self._length(name) == stop:
@@ -149,9 +145,10 @@ def sign_window(label: str, hi: int) -> np.ndarray:
     Served from the module's WindowStore, which holds what load_caches put
     there and what earlier calls sieved.  A window too short for hi is
     extended by sieving only the indices past its end, up to hi rounded up
-    to a multiple of SEGMENT, for both sign labels when they end together;
-    squarefree is mu & 1.  The result is a view: later growth
-    allocates new arrays and leaves views handed out earlier intact.  A
+    to a multiple of SEGMENT, for both sign labels when they end together.
+    The result is a view: later growth allocates new arrays and leaves
+    views handed out earlier intact.  squarefree, unless an adopted cache
+    window covers hi, is mu & 1, a new array rather than a view.  A
     window that would grow past the store's limit raises WindowLimitError.
     """
     return WINDOWS.get(label, hi)
@@ -266,46 +263,26 @@ def small_correlation_fraction(H: int, X: int, delta: float) -> float:
     return hits / H
 
 
-def windowed_sum_energy(k: int, h: int, N: int,
-                        with_spectral: bool = True) -> tuple[float, float | None]:
-    """Mean square of h-term Mobius window sums, directly and spectrally.
+def windowed_sum_energy(k: int, h: int, N: int) -> float:
+    """(1/N) * sum_{n<=N} |sum_{l=1..h} mobius(n + k*l)|^2, exactly.
 
-    direct = (1/N) * sum_{n<=N} |sum_{l=1..h} mobius(n + k*l)|^2.  The
-    spectral route integrates the squared Dirichlet kernel |D_h(k theta)|^2
-    against the periodogram of the window [1, N + h*k].  The two agree up
-    to edge effects: |direct - spectral| <= (2*h*k/N) * h^2.
-
-    The direct route streams the window one BLOCK at a time.  The spectral
-    route costs an FFT with at least 2*(N + h*k) bins, and its arrays are
-    O(bins), several times the int8 window; callers that only need the
-    direct statistic (decay scans over large N, the window_energy
-    experiment) pass with_spectral=False and get (direct, None).
+    By Veech's identity it equals |D_h(k theta)|^2, the squared Dirichlet
+    kernel, integrated against the periodogram of mobius on [1, N + h*k],
+    up to edge effects of at most (2*h*k/N) * h^2.  The window is streamed
+    one BLOCK at a time.
     """
-    from .spectral import dirichlet_energy, periodogram
-
     if k < 1 or h < 1 or N < 1:
         raise InvalidRangeError(f"need k, h, N >= 1, got k={k}, h={h}, N={N}")
-    reach = h * k
-    mu = sign_window("mobius", N + reach)
-    # |sum| <= h, so up to h = 127 the sums fit int8 and their squares int16
-    narrow = h <= 127
-    sums = np.empty(min(BLOCK, N), dtype=np.int8 if narrow else np.int32)
-    squares = np.empty(len(sums), dtype=np.int16 if narrow else np.int64)
+    mu = sign_window("mobius", N + h * k)
+    # |sum| <= h: the narrowest dtypes that hold -h and -h^2
+    sums = np.empty(min(BLOCK, N), dtype=np.min_scalar_type(-h - 1))
+    squares = np.empty(len(sums), dtype=np.min_scalar_type(-h * h - 1))
     total = 0
     for _, part in blocks([mu[k * l :] for l in range(1, h + 1)], N, sums, np.add):
         sq = squares[: len(part)]
         np.square(part, out=sq, dtype=sq.dtype)
         total += int(np.sum(sq, dtype=np.int64))
-    direct = total / N
-    if not with_spectral:
-        return direct, None
-
-    m = N + reach
-    bins = 1 << max(2 * m - 1, 8 * h * k - 1, 4095).bit_length()
-    g = BoundedSeq.from_samples(mu[:m], label="mobius", sup_bound=1.0)
-    gram = periodogram(g, m, bins=bins)
-    spectral = dirichlet_energy(gram.measure, h, k)
-    return direct, spectral
+    return total / N
 
 
 def short_interval_average(H: int, X: int) -> float:
@@ -420,7 +397,7 @@ def _pattern(*, shifts, exponents, label="mobius"):
 
 def _window_energy(*, k, h):
     k, h = _integer("k", k), _integer("h", h)
-    return lambda N: windowed_sum_energy(k, h, N, with_spectral=False)[0] / h**2
+    return lambda N: windowed_sum_energy(k, h, N) / h**2
 
 
 def _rotation(*, alpha, poly=()):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -252,15 +253,17 @@ def write_json(eta: TorusMeasure, path: str | Path) -> None:
 
 def read_json(path: str | Path) -> TorusMeasure:
     """The measure write_json stored at path; ValueError, naming the file,
-    when the file holds no valid measure."""
+    when the file holds no valid measure: bins must be a JSON integer and
+    every density value, atom position and mass a finite JSON number."""
     try:
         obj = json.loads(Path(path).read_text())
-        return TorusMeasure(
-            int(obj["bins"]),
-            np.array(obj["density"], dtype=np.float64),
-            [(float(a["pos"]), float(a["mass"])) for a in obj.get("atoms", [])],
-        )
+        bins, density = obj["bins"], obj["density"]
+        atoms = [(a["pos"], a["mass"]) for a in obj.get("atoms", [])]
+        if type(bins) is not int or not all(
+                type(x) in (int, float) and math.isfinite(x) for x in [*density, *chain(*atoms)]):
+            raise TypeError("bins must be an integer, the density and atoms finite numbers")
+        return TorusMeasure(bins, np.array(density, dtype=np.float64), atoms)
     except KeyError as exc:
         raise ValueError(f"measure file {str(path)!r} has no key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"measure file {str(path)!r} is malformed: {exc}") from exc

@@ -66,22 +66,6 @@ FACTOR_ORACLE_LIMIT = 10**9
 LABELS = ("mobius", "liouville", "squarefree")
 
 
-@dataclass(frozen=True)
-class PrimeBasis:
-    """All primes up to a bound, as a sorted int64 array.
-
-    Attributes:
-        bound: inclusive upper limit of the enumeration.
-        values: the primes, ascending.
-    """
-
-    bound: int
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 @dataclass
 class SignSeq:
     """A window of sieve values.
@@ -117,26 +101,26 @@ class SignSeq:
         return int(self.values[n - self.start])
 
 
-def primes_upto(bound: int) -> PrimeBasis:
+def primes_upto(bound: int) -> np.ndarray:
     """Enumerate all primes p <= bound with a plain Eratosthenes pass.
 
     Args:
         bound: inclusive limit, any non-negative integer.
 
     Returns:
-        PrimeBasis with the ascending primes.
+        The ascending primes as an int64 array.
     """
     if bound < 0:
         raise InvalidRangeError(f"bound must be >= 0, got {bound}")
     if bound < 2:
-        return PrimeBasis(bound, np.empty(0, dtype=np.int64))
+        return np.empty(0, dtype=np.int64)
     flags = np.ones(bound + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = False
     # flatnonzero already gives int64 on 64-bit platforms; no second copy there
-    return PrimeBasis(bound, np.flatnonzero(flags).astype(np.int64, copy=False))
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 _ORACLE_PRIMES: list[int] = []
@@ -160,7 +144,7 @@ def factor_oracle(n: int) -> list[int]:
     if n > FACTOR_ORACLE_LIMIT:
         raise RangeOverflowError(f"factor_oracle is guarded at {FACTOR_ORACLE_LIMIT}, got {n}")
     if not _ORACLE_PRIMES:
-        _ORACLE_PRIMES.extend(int(p) for p in primes_upto(isqrt(FACTOR_ORACLE_LIMIT)).values)
+        _ORACLE_PRIMES.extend(int(p) for p in primes_upto(isqrt(FACTOR_ORACLE_LIMIT)))
     out: list[int] = []
     m = n
     for p in _ORACLE_PRIMES:
@@ -234,7 +218,7 @@ def _segments(lo: int, hi: int, flags: np.ndarray | None = None
     squarefree holds the int8 flags: flags[s - lo : e - lo] when the caller
     passes flags (length hi - lo), else scratch as well.
     """
-    primes = primes_upto(isqrt(hi - 1)).values.tolist()
+    primes = primes_upto(isqrt(hi - 1)).tolist()
     wheel_word, wheel_sq = _wheel()
     width = min(SEGMENT, hi - lo)
     word = np.empty(width, dtype=WORD)

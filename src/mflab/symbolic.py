@@ -186,7 +186,7 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
     if n_check < 1:
         raise InvalidRangeError(f"n_check must be >= 1, got {n_check}")
 
-    primes = primes_upto(MIRSKY_PRIME_BOUND).values
+    primes = primes_upto(MIRSKY_PRIME_BOUND)
     estimate = 0.0
     for r in range(len(zeros) + 1):
         for extra in combinations(zeros, r):

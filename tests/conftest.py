@@ -11,7 +11,9 @@ import pytest
 import mflab.experiments as ex
 from mflab.cache import write_cache
 from mflab.experiments import WindowStore, sign_window
+from mflab.sequences import BoundedSeq
 from mflab.sieve import SignSeq, sieve
+from mflab.spectral import dirichlet_energy, periodogram
 
 WINDOW_TOP = 10**7 + 256
 
@@ -20,6 +22,17 @@ ACCEPTANCE_LINES: list[str] = []
 
 def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
+
+
+def spectral_window_energy(mu: np.ndarray, k: int, h: int, N: int) -> float:
+    """The spectral side of windowed_sum_energy(k, h, N) (Veech): the squared
+    Dirichlet kernel |D_h(k theta)|^2 integrated against the periodogram of
+    mu on [1, N + h*k], on a grid of at least 2(N + h*k) and 8hk bins.  It
+    agrees with the direct mean square up to (2hk/N) * h^2."""
+    m = N + h * k
+    bins = 1 << max(2 * m - 1, 8 * h * k - 1, 4095).bit_length()
+    g = BoundedSeq.from_samples(mu[:m], label="mobius", sup_bound=1.0)
+    return dirichlet_energy(periodogram(g, m, bins=bins).measure, h, k)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, spectral_window_energy
 from mflab.config import EXIT_OK, load_config, run
 from mflab.experiments import (
     sign_window,
@@ -71,7 +71,7 @@ def test_criterion_01_sieve_exactness(mu_window, lam_window, sq_window):
 def test_criterion_02_squarefree_density(sq_window):
     count = int(np.sum(sq_window[: 10**7], dtype=np.int64))
     density = count / 10**7
-    p = primes_upto(10**4).values.astype(np.float64)
+    p = primes_upto(10**4).astype(np.float64)
     product = float(np.prod(1.0 - 1.0 / (p * p)))
     ok = abs(density - product) < 2e-3
     _record(2, "square-free density vs Euler product", ok)
@@ -322,7 +322,8 @@ def test_criterion_12_windowed_energy_consistency(mu_window):
     for k in (1, 3):
         for h in (10, 30):
             for N in (10**5, 10**6):
-                direct, spectral = windowed_sum_energy(k, h, N)
+                direct = windowed_sum_energy(k, h, N)
+                spectral = spectral_window_energy(mu_window, k, h, N)
                 bound = (2.0 * h * k / N) * h * h
                 gap = abs(direct - spectral)
                 if gap > bound:
@@ -331,8 +332,7 @@ def test_criterion_12_windowed_energy_consistency(mu_window):
 
     ratios = []
     for h in (10, 30, 100):
-        direct, _ = windowed_sum_energy(1, h, 10**7, with_spectral=False)
-        ratios.append(direct / (h * h))
+        ratios.append(windowed_sum_energy(1, h, 10**7) / (h * h))
     decreasing_ok = ratios[0] > ratios[1] > ratios[2]
 
     ok = ok and decreasing_ok

@@ -81,7 +81,8 @@ def test_affinity_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("measure", [{"density": [0.1, 0.2]},
                                      {"bins": 2, "density": [0.1, 0.2], "atoms": [{"pos": 1.0}]},
-                                     [0.1, 0.2]])
+                                     [0.1, 0.2],
+                                     {"bins": 2, "density": [float("nan"), 0.1]}])
 def test_affinity_on_a_malformed_measure_file_exits_two(measure, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(measure))

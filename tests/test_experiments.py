@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import spectral_window_energy
 import mflab.experiments as ex
 from mflab.cache import write_cache
 from mflab.errors import AllSquaredError, InvalidRangeError, NotDisjointError, WindowLimitError
@@ -142,36 +143,30 @@ def test_small_correlation_fraction_matches_brute(lam_window):
 
 def test_windowed_sum_energy_direct_brute(mu_window):
     k, h, N = 2, 3, 4000
-    direct, spectral = windowed_sum_energy(k, h, N)
+    direct = windowed_sum_energy(k, h, N)
     mu = mu_window
     total = sum(
         sum(int(mu[n + k * l - 1]) for l in range(1, h + 1)) ** 2
         for n in range(1, N + 1))
     assert direct == total / N
-    assert abs(direct - spectral) <= (2 * h * k / N) * h * h
+    assert abs(direct - spectral_window_energy(mu, k, h, N)) <= (2 * h * k / N) * h * h
 
 
-@pytest.mark.parametrize("h", [127, 128, 129])
+@pytest.mark.parametrize("h", [11, 12, 127, 128, 129, 181, 182])
 def test_windowed_sum_energy_both_accumulators_match_brute(h, mu_window, monkeypatch):
-    # h = 127 sums in int8, h >= 128 in int32.  An int8 sum would still square
-    # right at h = 128 (+128 wraps to -128), so 129 is the first h it would get wrong.
+    # the sums take int8 up to h = 127 and int16 above, the squares int8 up to
+    # h = 11, int16 up to 181 and int32 above: each h sits on one side of an
+    # edge.  An int8 sum would still square right at h = 128 (+128 wraps to
+    # -128), so 129 is the first h it would get wrong.
     k, N = 2, 300
-    direct, _ = windowed_sum_energy(k, h, N, with_spectral=False)
     total = sum(
         sum(int(mu_window[n + k * l - 1]) for l in range(1, h + 1)) ** 2
         for n in range(1, N + 1))
-    assert direct == total / N
-    # constant windows reach the extremes |sum| = h of each accumulator
+    assert windowed_sum_energy(k, h, N) == total / N
+    # constant windows reach the extremes |sum| = h and h^2 of each dtype
     for fill in (1, -1):
         monkeypatch.setattr(ex, "sign_window", lambda label, n: np.full(n, fill, dtype=np.int8))
-        assert windowed_sum_energy(k, h, N, with_spectral=False)[0] == h * h
-
-
-def test_windowed_sum_energy_skip_spectral():
-    direct_only, none_part = windowed_sum_energy(1, 4, 2000, with_spectral=False)
-    direct, _ = windowed_sum_energy(1, 4, 2000)
-    assert none_part is None
-    assert direct_only == direct
+        assert windowed_sum_energy(k, h, N) == h * h
 
 
 def test_short_interval_average_matches_brute(mu_window):
@@ -203,7 +198,7 @@ def test_block_kernels_match_int64_references(N, mu_window, lam_window, sq_windo
     assert small_correlation_fraction(8, N, 0.01) == sum(abs(s) <= 0.01 * N for s in lags) / 8
     for k, h in ((1, 1), (3, 10), (2, 200)):
         sums = sum(mu[k * l : k * l + N] for l in range(1, h + 1))
-        assert windowed_sum_energy(k, h, N, with_spectral=False)[0] == int(np.sum(sums**2)) / N
+        assert windowed_sum_energy(k, h, N) == int(np.sum(sums**2)) / N
     for H in (1, 100, BLOCK + 5, 2 * BLOCK + 3):
         csum = np.concatenate(([0], np.cumsum(mu[N : 2 * N + H])))
         inner = np.abs(csum[H : H + N] - csum[:N])
@@ -293,8 +288,8 @@ def test_block_kernels_allocate_no_window_sized_array(mu_window, lam_window, sq_
         "pattern": lambda: pattern_correlation(Pattern((0, 1, 2), (1, 1, 2)), N),
         "two_point": lambda: two_point_correlation(3, N),
         "small_fraction": lambda: small_correlation_fraction(8, N, 0.001),
-        "window_energy h=10": lambda: windowed_sum_energy(3, 10, N, with_spectral=False),
-        "window_energy h=200": lambda: windowed_sum_energy(3, 200, N, with_spectral=False),
+        "window_energy h=10": lambda: windowed_sum_energy(3, 10, N),
+        "window_energy h=200": lambda: windowed_sum_energy(3, 200, N),
         "short_interval": lambda: short_interval_average(100, N),
         "mirsky": lambda: mirsky_cylinder_density([0, 1, 3], [2, 6], N),
         "correlation_table": lambda: correlation_table(g, N, 8),
@@ -345,7 +340,7 @@ def test_sign_window_grows_and_reuses(fresh_windows, sieve_calls):
 
 @pytest.mark.parametrize("cache_length, passes", [
     (0, [(1, SEGMENT + 1), (SEGMENT + 1, 2 * SEGMENT + 1), (2 * SEGMENT + 1, 4 * SEGMENT + 1)]),
-    # derived over the whole cached window, so the first three requests share it
+    # the first three requests are read off the cached mobius window
     (SEGMENT + 3001, [(SEGMENT + 3002, 4 * SEGMENT + 1)]),
 ])
 def test_squarefree_window_is_mobius_squared(tmp_path, fresh_windows, sieve_calls,
@@ -405,6 +400,20 @@ def test_growing_mobius_drops_a_shorter_squarefree_window(sieve_calls):
     got = store.get("squarefree", 2 * SEGMENT + 5)
     assert np.array_equal(got, sieve("squarefree", 1, 2 * SEGMENT + 6).values)
     assert sieve_calls == [("mobius", 1, SEGMENT + 1), ("mobius", SEGMENT + 1, 3 * SEGMENT + 1)]
+
+
+def test_adopting_a_longer_mobius_window_leaves_no_squarefree_window(sieve_calls):
+    store = WindowStore()
+    store.get("squarefree", 10)
+    store.adopt(sieve("mobius", 1, 3 * SEGMENT + 1))
+    assert {k: len(v) for k, v in store._windows.items()} == {
+        "mobius": 3 * SEGMENT, "liouville": SEGMENT}
+    got = store.get("squarefree", 2 * SEGMENT)
+    assert np.array_equal(got, sieve("squarefree", 1, 2 * SEGMENT + 1).values)
+    # a derived window is the caller's own array, not a view of the store's
+    assert not np.shares_memory(got, store._windows["mobius"])
+    assert sorted(store._windows) == ["liouville", "mobius"]
+    assert sieve_calls == [("mobius", 1, SEGMENT + 1)]
 
 
 def test_squarefree_read_off_a_held_mobius_window_passes_the_limit(sieve_calls):
@@ -591,7 +600,7 @@ REGISTRY_CASES = {
         {"H": 8, "delta": 0.01}, lambda N: small_correlation_fraction(8, N, 0.01)),
     "window_energy": (
         {"k": 3, "h": 10},
-        lambda N: windowed_sum_energy(3, 10, N, with_spectral=False)[0] / 10**2),
+        lambda N: windowed_sum_energy(3, 10, N) / 10**2),
     "short_interval": ({"H": 100}, lambda N: short_interval_average(100, N)),
     "rotation": (
         {"alpha": 1.3, "poly": [{"freq": 2.5, "im": -1.0}, {"freq": 1.0, "re": 2.0}]},

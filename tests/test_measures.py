@@ -262,6 +262,19 @@ def test_density_must_be_one_dimensional():
     json.dumps({"bins": 2, "density": [[0.1], [0.2]]}),
     json.dumps({"bins": 2, "density": [0.1, 0.2], "atoms": [0.5]}),
     "{not json",
+    json.dumps({"bins": 2, "density": [math.nan, 0.1]}),
+    json.dumps({"bins": 2, "density": [math.inf, 0.1]}),
+    json.dumps({"bins": 2, "density": [0.1, 0.2], "atoms": [{"pos": 1.0, "mass": math.inf}]}),
+    json.dumps({"bins": 2, "density": [0.1, 0.2], "atoms": [{"pos": math.nan, "mass": 1.0}]}),
+    json.dumps({"bins": 2, "density": [0.1, 0.2], "atoms": [{"pos": "1.0", "mass": 1.0}]}),
+    json.dumps({"bins": 2, "density": [0.1, 0.2], "atoms": [{"pos": 1.0, "mass": True}]}),
+    json.dumps({"bins": 2.9, "density": [0.1, 0.2]}),
+    json.dumps({"bins": 2.0, "density": [0.1, 0.2]}),
+    json.dumps({"bins": "2", "density": [0.1, 0.2]}),
+    json.dumps({"bins": True, "density": [0.1, 0.2]}),
+    json.dumps({"bins": 2, "density": ["0.1", "0.2"]}),
+    json.dumps({"bins": 2, "density": [0.1, False]}),
+    pytest.param(json.dumps({"bins": 2, "density": [10**400, 0.1]}), id="int-past-float64"),
 ])
 def test_read_json_names_the_file_of_a_malformed_measure(text, tmp_path):
     path = tmp_path / "bad.json"

@@ -18,7 +18,6 @@ from mflab.sieve import (
     SEGMENT,
     SIEVE_LIMIT,
     WHEEL,
-    PrimeBasis,
     SignSeq,
     _log_weight,
     _tile,
@@ -35,22 +34,21 @@ PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
 
 
 def test_primes_upto_hundred():
-    basis = primes_upto(100)
-    assert isinstance(basis, PrimeBasis)
-    assert basis.bound == 100
-    assert basis.values.tolist() == PRIMES_BELOW_100
+    primes = primes_upto(100)
+    assert primes.dtype == np.int64
+    assert primes.tolist() == PRIMES_BELOW_100
 
 
 def test_primes_upto_edge_cases():
-    assert primes_upto(1).values.tolist() == []
-    assert primes_upto(2).values.tolist() == [2]
+    assert primes_upto(1).tolist() == []
+    assert primes_upto(2).tolist() == [2]
 
 
 def test_primes_upto_memory_is_one_table_and_one_prime_array():
     bound = 10**7
     tracemalloc.start()
     try:
-        primes = primes_upto(bound).values
+        primes = primes_upto(bound)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -337,7 +335,7 @@ def test_powers_of_two_at_the_bottom_of_a_window(monkeypatch):
                                           squarefree), n
 
 
-_SMALL_PRIMES = primes_upto(2**16).values
+_SMALL_PRIMES = primes_upto(2**16)
 
 
 def _is_prime(n: int) -> bool:

@@ -162,7 +162,7 @@ def _unique_product(shifts, primes):
     ([5, 29, 150, 151], [0, 49]), ([], [0, 7]),
 ])
 def test_mirsky_product_matches_unique_reference(ones, zeros, sq_window):
-    primes = primes_upto(MIRSKY_PRIME_BOUND).values
+    primes = primes_upto(MIRSKY_PRIME_BOUND)
     expected = 0.0
     for r in range(len(zeros) + 1):
         for extra in combinations(zeros, r):
