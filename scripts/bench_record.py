@@ -23,7 +23,10 @@ correlation_table(mobius, 1e6, 128) plus small_correlation_fraction(8,
 fresh process, the layer sample layers.lag_sums_s, and one untraced
 perfbench/run.py run of the far_windows workload (short windows far out,
 sieved without out arrays), whose run_s median is the layer sample
-layers.far_windows_run_s.  It also times three commands end
+layers.far_windows_run_s, and is_admissible over the shift sets of
+perfbench/inputs.py's make_inputs("lab_cached", seed), drawn before the
+clock starts in a fresh process, the layer sample layers.admissible_s.
+It also times three commands end
 to end, each in a fresh process and with start-up included:
 `mfl experiment --id mobius_exponential --n-grid 10000000`
 (layers.experiment_1e7_s), scripts/decay_battery.py against its goldens
@@ -135,6 +138,23 @@ def time_lag_sums(checkout: Path) -> float:
         "print(time.perf_counter() - t)\n")))
 
 
+def time_admissible(checkout: Path, seed: int) -> float:
+    """Seconds of one is_admissible call per shift set of lab_cached's inputs
+    for seed, in a fresh process; perfbench/inputs.py is imported, not
+    written to (no bytecode)."""
+    return float(run_python(checkout, (
+        "import time\n"
+        "sys.dont_write_bytecode = True\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "from inputs import make_inputs\n"
+        "from mflab.symbolic import is_admissible\n"
+        f"sets = make_inputs('lab_cached', {seed})['shift_sets']\n"
+        "t = time.perf_counter()\n"
+        "for shifts in sets:\n"
+        "    is_admissible(shifts)\n"
+        "print(time.perf_counter() - t)\n")))
+
+
 def time_command(checkout: Path, *args: str) -> float:
     """Wall seconds of `python args...` in a fresh process in the checkout,
     importing mflab from its src/ and reading no MFL_CACHE_DIR."""
@@ -208,7 +228,7 @@ def main() -> int:
                      "layers": {name: {"unit": "s", "samples": []}
                                 for name in ("sieve_1e8_s", "far_window_1e14_s",
                                              "far_windows_run_s",
-                                             "cache_read_1e7_s", "lag_sums_s",
+                                             "cache_read_1e7_s", "lag_sums_s", "admissible_s",
                                              "experiment_1e7_s", "decay_battery_s",
                                              "tier1_s")}}
                for tag, path in checkouts.items()}
@@ -255,6 +275,9 @@ def main() -> int:
             seconds = time_lag_sums(checkouts[tag])
             layers["lag_sums_s"]["samples"].append(seconds)
             print(f"round {r} {tag} lag sums: {seconds:.4f} s", flush=True)
+            seconds = time_admissible(checkouts[tag], seed)
+            layers["admissible_s"]["samples"].append(seconds)
+            print(f"round {r} {tag} is_admissible: {seconds:.4f} s", flush=True)
             for name, timer in (("experiment_1e7_s", time_experiment),
                                 ("decay_battery_s", time_battery), ("tier1_s", time_tier1)):
                 seconds = timer(checkouts[tag])

@@ -235,12 +235,18 @@ class Pattern:
 
 
 def pattern_correlation(pattern: Pattern, N: int, label: str = "mobius") -> float:
-    """(1/N) * sum_{n<=N} of the product of label(n + a)^e over the pattern."""
+    """(1/N) * sum_{n<=N} of the product of label(n + a)^e over the pattern.
+
+    Unless an adopted cache covers it, a square-free factor is read off the
+    Mobius window as mobius(n + a)^2, two factors whatever its exponent."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
     reach = max(pattern.shifts)
+    exponents = pattern.exponents
+    if label == "squarefree" and WINDOWS._length(label) < N + reach:
+        label, exponents = "mobius", (2,) * len(exponents)
     w = sign_window(label, N + reach)
-    factors = [w[a:] for a, e in zip(pattern.shifts, pattern.exponents) for _ in range(e)]
+    factors = [w[a:] for a, e in zip(pattern.shifts, exponents) for _ in range(e)]
     return product_sum(factors, N) / N
 
 

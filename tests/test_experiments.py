@@ -189,7 +189,7 @@ def test_block_kernels_match_int64_references(N, mu_window, lam_window, sq_windo
     assert squarefree_modulated_sum([1, 3], 0.0, N) == complex(int(mask.sum()) / N)
     got = squarefree_modulated_sum([1, 3], THETA_STAR, N)
     assert abs(got - _direct_average(mask, THETA_STAR, N)) < 1e-12
-    for label, w in (("mobius", mu), ("liouville", lam)):
+    for label, w in (("mobius", mu), ("liouville", lam), ("squarefree", sq)):
         product = w[:N] * w[1 : 1 + N] * w[2 : 2 + N] ** 2
         assert pattern_correlation(Pattern((0, 1, 2), (1, 1, 2)), N, label) == (
             int(product.sum()) / N)
@@ -286,6 +286,8 @@ def test_block_kernels_allocate_no_window_sized_array(mu_window, lam_window, sq_
         "squarefree_shifts": lambda: squarefree_modulated_sum([1, 3], THETA_STAR, N),
         "squarefree_shifts at 0": lambda: squarefree_modulated_sum([1, 3], 0.0, N),
         "pattern": lambda: pattern_correlation(Pattern((0, 1, 2), (1, 1, 2)), N),
+        "pattern squarefree": lambda: pattern_correlation(
+            Pattern((0, 1, 2), (1, 1, 2)), N, "squarefree"),
         "two_point": lambda: two_point_correlation(3, N),
         "small_fraction": lambda: small_correlation_fraction(8, N, 0.001),
         "window_energy h=10": lambda: windowed_sum_energy(3, 10, N),
@@ -362,6 +364,27 @@ def test_squarefree_modulated_sum_equals_sieved_squarefree_factors(mu_window, N,
     sq = sieve("squarefree", 1, N + 6).values
     want = modulated_average([mu_window] + [sq[a:] for a in shifts], theta, N)
     assert squarefree_modulated_sum(shifts, theta, N) == want
+
+
+@pytest.mark.parametrize("N", [10**5, 10**6])
+def test_squarefree_pattern_equals_the_product_of_squarefree_factors(sq_window, N):
+    pattern = Pattern((0, 1, 2, 5), (1, 2, 1, 2))
+    want = product_sum([sq_window[a:] for a in (0, 1, 1, 2, 5, 5)], N) / N
+    assert pattern_correlation(pattern, N, "squarefree") == want
+
+
+def test_squarefree_pattern_reads_an_adopted_cache_without_sieving(tmp_path, fresh_windows,
+                                                                  sieve_calls, sq_window):
+    N, pattern = 5000, Pattern((0, 3), (1, 2))
+    want = product_sum([sq_window, sq_window[3:]], N) / N
+    write_cache(tmp_path / "squarefree.bin", sieve("squarefree", 1, N + 4))
+    load_caches(tmp_path)
+    assert pattern_correlation(pattern, N, "squarefree") == want
+    assert sieve_calls == []
+    # past the cache the factors come from the Mobius window
+    assert pattern_correlation(pattern, N + 1, "squarefree") == (
+        product_sum([sq_window, sq_window[3:]], N + 1) / (N + 1))
+    assert sieve_calls == [("mobius", 1, SEGMENT + 1)]
 
 
 def test_battery_experiments_hold_no_squarefree_window(fresh_windows):

@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import math
+import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -100,6 +102,68 @@ def _brute_force_admissible(shifts):
 @given(st.sets(st.integers(min_value=0, max_value=40), max_size=7))
 def test_admissibility_matches_brute_force(shifts):
     assert is_admissible(shifts) == _brute_force_admissible(shifts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=200), max_size=40),
+       st.sampled_from([1, 2, 4, 36]))
+def test_admissibility_of_lists_with_repeats_matches_enumeration(values, step):
+    # rounding down to a multiple of step keeps fewer classes mod 4, so
+    # lists of 9 or more distinct values reach the q >= 3 tests; the brute
+    # force enumerates every prime p with p^2 <= 40 distinct values
+    shifts = [a - a % step for a in values]
+    assert is_admissible(shifts) == _brute_force_admissible(set(shifts))
+
+
+def test_admissibility_of_many_repeats_is_fast():
+    t = time.perf_counter()
+    assert is_admissible([0] * 10**5) is True
+    assert time.perf_counter() - t < 0.05
+
+
+NON_INTEGERS = [1.5, 2.0, "3", np.float64(2.0), Fraction(1, 1)]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("size", [1, 4, 12])
+def test_is_admissible_refuses_non_integer_shifts(bad, size):
+    # size 1 skips every residue test but q = 2, 12 entries are deduped first
+    with pytest.raises(TypeError):
+        is_admissible([*range(0, 4 * size - 4, 4), bad])
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_mirsky_refuses_non_integer_shifts(bad):
+    with pytest.raises(TypeError):
+        mirsky_cylinder_density([0, bad], [], 100)
+    with pytest.raises(TypeError):
+        mirsky_cylinder_density([0], [bad], 100)
+
+
+ADMISSIBILITY_CASES = [[], [0, 1, 2], [0, 1, 2, 3], [0, 4, 8, 12], [0, 1, 2, 7],
+                       list(range(0, 120, 4)), list(range(0, 127, 9)), list(range(0, 127, 36)),
+                       list(range(0, 64)), [5, 5, 5, 6, 6, 9, 9, 9, 9, 12]]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32, np.uint64])
+def test_numpy_integer_shifts_give_the_verdict_of_python_ints(dtype):
+    for shifts in ADMISSIBILITY_CASES:
+        want = is_admissible(shifts)
+        assert is_admissible(np.array(shifts, dtype=dtype)) is want
+        assert is_admissible([dtype(a) for a in shifts]) is want
+    # np.uint8(0) % 256 overflows in the q = 16 test of 289 shifts that all
+    # lie in one class mod every q^2 <= 289
+    step = 2**8 * 3**4 * 5**2 * 7**2 * 11**2 * 13**2 * 17**2
+    assert is_admissible([dtype(0)] + [k * step for k in range(1, 289)]) is True
+
+
+def test_mirsky_takes_numpy_integer_shifts(sq_window):
+    want = mirsky_cylinder_density([0, 1, 3], [2, 6], 1000, squarefree_window=sq_window)
+    for dtype in (np.uint8, np.int16, np.uint64):
+        got = mirsky_cylinder_density(np.array([0, 1, 3], dtype=dtype),
+                                      [dtype(2), dtype(6)], 1000, squarefree_window=sq_window)
+        assert got == want
 
 
 def test_mirsky_single_shift(sq_window):
