@@ -42,7 +42,9 @@ printed when the resolved paths differ in length.
 For each checkout it writes BENCH_<TAG>.json into --out-dir.  Each metric
 gets its median, interquartile range and sample count.  The file also
 holds the seeds, the commit of the checkout (and whether its tracked files
-differ from that commit), a sha256 of its src/ tree, the machine, Python,
+differ from that commit), a sha256 of its src/ tree, the tokenize count of
+each src/mflab/*.py module (lab_cached's peak_rss_mb was seen to step
+with these counts, in modules the pass never runs), the machine, Python,
 numpy and the number of cores the runs could use, as perfbench reports
 them, and the failed-check count of every run.
 
@@ -61,6 +63,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 WORKLOADS = ("battery_cold", "lab_cached")
@@ -184,11 +187,17 @@ def time_tier1(checkout: Path) -> float:
 
 
 def code_state(checkout: Path) -> dict:
-    """The checkout's commit, whether tracked files differ from it, and a
-    sha256 of src/ that names the measured code even when they do."""
+    """The checkout's commit, whether tracked files differ from it, a sha256
+    of src/ that names the measured code even when they do, and the tokenize
+    count of each src/mflab module, without the encoding token."""
     digest = hashlib.sha256()
     for path in sorted((checkout / "src").rglob("*.py")):
         digest.update(path.relative_to(checkout).as_posix().encode() + b"\0" + path.read_bytes())
+    tokens = {}
+    for path in sorted((checkout / "src" / "mflab").glob("*.py")):
+        with path.open("rb") as fh:
+            tokens[path.name] = sum(1 for tok in tokenize.tokenize(fh.readline)
+                                    if tok.type != tokenize.ENCODING)
 
     def git(*args: str) -> str:
         return subprocess.run(["git", "-C", str(checkout), *args], stdout=subprocess.PIPE,
@@ -198,7 +207,8 @@ def code_state(checkout: Path) -> dict:
         dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     except (OSError, subprocess.CalledProcessError):
         commit = dirty = None
-    return {"commit": commit, "dirty": dirty, "src_sha256": digest.hexdigest()}
+    return {"commit": commit, "dirty": dirty, "src_sha256": digest.hexdigest(),
+            "src_tokens": tokens}
 
 
 def summarise(values: list[float]) -> dict:

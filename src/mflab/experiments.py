@@ -32,6 +32,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
+from operator import index
 from pathlib import Path
 from typing import Callable
 
@@ -200,10 +201,11 @@ def mobius_exponential_sum(theta: float, N: int) -> complex:
 
 def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
     """Mobius average twisted by exp(i n theta), restricted to the n whose
-    shifted neighbours n + a are all square-free, as mobius(n + a)^2 = 1."""
+    shifted neighbours n + a are all square-free, as mobius(n + a)^2 = 1.
+    Shifts go through operator.index: a float or str raises TypeError."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
-    shifts = sorted(set(int(a) for a in shifts))
+    shifts = sorted({index(a) for a in shifts})
     if min(shifts, default=1) < 1:
         raise InvalidRangeError("shifts must be >= 1")
     mu = sign_window("mobius", N + max(shifts, default=0))

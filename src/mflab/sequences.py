@@ -8,7 +8,7 @@ on int64 index arrays.
 Lag correlations F_N(k) = (1/N) * sum_{n=1..N} g(n+k) * conj(g(n)) are the
 finite-scale stand-in for the autocorrelation of g; tables of them feed the
 spectral modules.  Averages use the chunked compensated summation helper;
-windows backed by integer samples take an exact integer path instead.
+sign windows (integer samples in {-1, 0, 1}) take exact integer sums.
 A TrigPoly is the checked (frequencies, coefficients) pair that
 experiments.rotation_orthogonality sums against.
 """
@@ -33,11 +33,9 @@ class BoundedSeq:
         fn: vectorised evaluator, int64 index array to value array.
         sup_bound: upper bound for |g(n)|, not required to be attained.
         label: short descriptive tag carried into reports.
-        samples: optional concrete integer window (index 1 at position 0);
-            when present, correlation sums run in exact integer arithmetic.
-            It is the int8 window itself when every value lies in
-            [-11, 11], so a product of two fits int8 (sign windows), and an
-            int16 copy otherwise.
+        samples: optional sign window (index 1 at position 0), integer
+            values in {-1, 0, 1}; when present, correlation sums run in
+            exact integer arithmetic on it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -55,26 +53,27 @@ class BoundedSeq:
     @classmethod
     def from_samples(cls, values: np.ndarray, label: str = "custom",
                      sup_bound: float | None = None) -> "BoundedSeq":
-        """Wrap an arbitrary sample window anchored at index 1."""
+        """Wrap an arbitrary sample window anchored at index 1.  An integer
+        window with every value in {-1, 0, 1} is its own samples; fn returns
+        values in the dtype promoted with int64, so no product wraps."""
         arr = np.asarray(values)
         integer = arr.dtype.kind in "iu"
         low = high = 0
-        if len(arr) and integer and (sup_bound is None or arr.dtype == np.int8):
+        if len(arr) and integer:
             # the extremes as Python ints: np.abs would wrap -128 in int8
             low, high = int(arr.min()), int(arr.max())
         if sup_bound is None:
             exact_abs = len(arr) and not integer  # float, complex and bool values
             sup_bound = float(np.max(np.abs(arr))) if exact_abs else float(max(-low, high))
-        ints = None
-        if arr.dtype == np.int8:
-            ints = arr if -11 <= low and high <= 11 else arr.astype(np.int16)
+        wide = np.result_type(arr.dtype, np.int64)
 
         def fn(idx: np.ndarray) -> np.ndarray:
             if len(idx) and (idx[0] < 1 or idx[-1] > len(arr)):
                 raise InvalidRangeError("index outside the sampled window")
-            return arr[idx - 1]
+            return arr[idx - 1].astype(wide, copy=False)
 
-        return cls(fn, sup_bound, label=label, samples=ints)
+        signs = integer and -1 <= low and high <= 1
+        return cls(fn, sup_bound, label=label, samples=arr if signs else None)
 
     @classmethod
     def exponential(cls, theta: float) -> "BoundedSeq":

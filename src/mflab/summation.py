@@ -13,9 +13,10 @@ of window length are the windows themselves.  blocks is their one driver:
 block by block it folds an operation the caller fixes (a product, a sum, a
 difference) over the factors' aligned slices into the caller's buffer.
 
-Lag sums of sign windows (values in {-1, 0, 1}) run on bit planes: a span
-of PLANE_SPAN indices is packed into a nonzero plane z and a negative plane
-s of uint64 words, and each lag then costs two popcounts per 64 indices,
+Lag sums take sign windows only (values in {-1, 0, 1}; any other value
+raises ValueError) and run on bit planes: a span of PLANE_SPAN indices is
+packed into a nonzero plane z and a negative plane s of uint64 words, and
+each lag then costs two popcounts per 64 indices,
 sum = popcount(z & z_h) - 2 popcount(z & z_h & (s ^ s_h)), exact in
 integers.  A span is longer than BLOCK because numpy's per-call overhead
 dominates on planes of BLOCK / 64 = 1024 words; its temporaries stay near
@@ -87,17 +88,18 @@ def blocks(factors: list[np.ndarray], N: int, out: np.ndarray,
         yield b, part
 
 
-def _pack(x: np.ndarray, planes: np.ndarray, scratch: np.ndarray) -> bool:
+def _pack(x: np.ndarray, planes: np.ndarray, scratch: np.ndarray) -> None:
     """Pack x into the rows of planes, bit j of the little-endian uint64
     words for x[j]: row 0 holds x != 0 and row 1 holds x < 0.  Words past
     len(x) keep what they held; the lag sums mask what they read there.
-    False, with nothing packed, unless every value of x lies in {-1, 0, 1}."""
-    if not (-1 <= int(x.min()) and int(x.max()) <= 1):
-        return False
+    ValueError, with nothing packed, unless every value of x lies in
+    {-1, 0, 1}."""
+    low, high = int(x.min()), int(x.max())
+    if not (-1 <= low and high <= 1):
+        raise ValueError(f"bit planes take values in {{-1, 0, 1}}, not {low}..{high}")
     nbytes = -(-len(x) // 8)
     for row, bits in zip(planes, (x, np.less(x, 0, out=scratch[: len(x)]))):
         row.view(np.uint8)[:nbytes] = np.packbits(bits, bitorder="little")
-    return True
 
 
 def _plane_sums(planes: np.ndarray, base: np.ndarray, shifts: list[int], size: int,
@@ -142,12 +144,10 @@ def lag_sums(w: np.ndarray, lags, start: int, stop: int) -> list[int]:
     w must reach index stop - 1 + max(lags), and every lag be >= 0.
     [start, stop) is taken in spans of PLANE_SPAN indices.  Lags are grouped
     by the multiple of PLANE_SPAN below them, so no packed range is longer
-    than two spans however far the lags reach.  Where a span and a group's
-    range hold only values in {-1, 0, 1}, each is packed once into bit
-    planes and every lag of the group is summed from them with popcounts
-    (see the module docstring).  Elsewhere each lag of the group is one
-    product_sum over the span, its products formed in w's dtype (as
-    w[a:b] * w[c:d] would be, wrapping as it does).
+    than two spans however far the lags reach.  Each span and each group's
+    range is packed once into bit planes, and every lag of the group is
+    summed from them with popcounts (see the module docstring).  ValueError
+    if a packed value lies outside {-1, 0, 1}.
     """
     lags = list(lags)
     totals = [0] * len(lags)
@@ -169,24 +169,16 @@ def lag_sums(w: np.ndarray, lags, start: int, stop: int) -> list[int]:
     scratch = np.empty(span + reach, dtype=bool)
     for a in range(start, stop, PLANE_SPAN):
         size = min(PLANE_SPAN, stop - a)
-        based = None  # whether base holds this span's planes, once known
+        if 0 not in groups:
+            _pack(w[a : a + size], base, scratch)
         for off in sorted(groups):
             idx = groups[off]
-            region = w[a + off : a + size + max(lags[i] for i in idx)]
-            if off:
-                if based is None:
-                    based = _pack(w[a : a + size], base, scratch)
-                packed = based and _pack(region, planes, scratch)
-            else:
-                packed = based = _pack(region, planes, scratch)
+            _pack(w[a + off : a + size + max(lags[i] for i in idx)], planes, scratch)
+            if not off:
                 base[...] = planes[:, : base.shape[1]]
-            if packed:
-                sums = _plane_sums(planes, base, [lags[i] - off for i in idx], size, work, counts)
-                for i, v in zip(idx, sums):
-                    totals[i] += v
-                continue
-            for i in idx:
-                totals[i] += product_sum([w[a:], w[a + lags[i] :]], size)
+            sums = _plane_sums(planes, base, [lags[i] - off for i in idx], size, work, counts)
+            for i, v in zip(idx, sums):
+                totals[i] += v
     return totals
 
 

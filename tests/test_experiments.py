@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,20 @@ def test_squarefree_modulated_sum_rejects_zero_shift():
         squarefree_modulated_sum({0, 1}, 0.0, 100)
 
 
+@pytest.mark.parametrize("shift", [1.5, "2", np.float64(2.0), Fraction(2, 1)])
+def test_squarefree_modulated_sum_refuses_non_integer_shifts(shift):
+    # a float used to be truncated and a str parsed by int()
+    with pytest.raises(TypeError):
+        squarefree_modulated_sum([shift, 3], 0.0, 1000)
+
+
+def test_squarefree_modulated_sum_takes_numpy_integer_shifts(mu_window):
+    N = 10**4
+    want = squarefree_modulated_sum([1, 3], THETA_STAR, N)
+    assert squarefree_modulated_sum([np.uint8(1), np.int64(3)], THETA_STAR, N) == want
+    assert squarefree_modulated_sum(np.array([3, 1, 3], np.uint16), THETA_STAR, N) == want
+
+
 def test_pattern_validation():
     with pytest.raises(NotDisjointError):
         Pattern((1, 1), (1, 1))
@@ -209,14 +224,20 @@ def test_block_kernels_match_int64_references(N, mu_window, lam_window, sq_windo
     assert got == int(np.count_nonzero(hits)) / N
 
 
-def test_lag_sums_take_whole_window_products_at_the_int8_extremes():
-    # every product of -128 and 1 is -128, and (-128)**2 wraps to 0 in int8,
-    # as it does in the whole-window product w[:N] * w[h:h+N]
-    N = 3 * BLOCK + 7
-    w = np.resize(np.array([-128, 1], dtype=np.int8), N + 3)
-    want = [int(np.sum(w[:N] * w[h : h + N], dtype=np.int64)) for h in range(4)]
-    assert lag_sums(w, range(4), 0, N) == want
-    assert want[1] == -128 * N
+@pytest.mark.parametrize("value", [-128, 2, 100])
+@pytest.mark.parametrize("lags", [[0, 5, PLANE_SPAN + 3], [PLANE_SPAN + 3, PLANE_SPAN + 8]])
+@pytest.mark.parametrize("where", ["span start", "lag reach", "past a span group"])
+def test_lag_sums_refuse_values_outside_the_sign_alphabet(value, lags, where):
+    # one value planted where the second span starts, past stop inside the
+    # lags' reach, or past stop + PLANE_SPAN, which only the lag group at
+    # PLANE_SPAN reads; with no lag below PLANE_SPAN each span's own planes
+    # are packed apart from the groups'
+    start, stop = 3, 3 + PLANE_SPAN + 10
+    w = np.random.default_rng(5).integers(-1, 2, stop + max(lags), dtype=np.int8)
+    w[{"span start": start + PLANE_SPAN, "lag reach": stop + 2,
+       "past a span group": stop + PLANE_SPAN + 1}[where]] = value
+    with pytest.raises(ValueError, match="bit planes"):
+        lag_sums(w, lags, start, stop)
 
 
 def test_product_sum_forms_products_in_the_factors_result_dtype():
@@ -252,13 +273,9 @@ PLANE_LAGS = [0, 1, 63, 64, 65, 129, PLANE_SPAN - 1, PLANE_SPAN, PLANE_SPAN + 1,
                      min_size=1, max_size=5),
        start=st.integers(0, 200),
        length=st.one_of(st.integers(1, 63), st.integers(1, 3 * PLANE_SPAN)),
-       planted=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
-                                  st.sampled_from([-11, -2, 2, 5, 11])), max_size=2),
        seed=st.integers(0, 2**32 - 1))
-def test_lag_sums_equal_int64_products(kind, lags, start, length, planted, seed,
+def test_lag_sums_equal_int64_products(kind, lags, start, length, seed,
                                        mu_window, lam_window, sq_window):
-    # planted values outside {-1, 0, 1} send the spans and lag groups that
-    # reach them to the multiply route and leave the others on the planes
     rng = np.random.default_rng(seed)
     stop = start + length
     need = stop + max(lags)
@@ -267,9 +284,7 @@ def test_lag_sums_equal_int64_products(kind, lags, start, length, planted, seed,
     else:
         window = {"mobius": mu_window, "liouville": lam_window, "squarefree": sq_window}[kind]
         at = int(rng.integers(0, len(window) - need))
-        w = window[at : at + need].copy()
-    for where, value in planted:
-        w[int(where * need)] = value
+        w = window[at : at + need]
     w64 = w.astype(np.int64)
     want = [int(np.sum(w64[start:stop] * w64[start + h : stop + h])) for h in lags]
     assert lag_sums(w, lags, start, stop) == want

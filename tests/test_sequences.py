@@ -107,6 +107,33 @@ def test_int8_windows_outside_the_sign_alphabet_sum_exactly(value, N):
     assert signs.samples.dtype == np.int8
 
 
+@pytest.mark.parametrize("dtype, value", [(np.uint8, 200), (np.int16, 300), (np.int32, 70_000),
+                                          (np.int8, -128), (np.uint64, 2**40)])
+def test_wide_sample_windows_correlate_exactly(dtype, value):
+    # products of two values wrap in each of these dtypes but uint64, whose
+    # promotion with int64 is float64, exact for products of 0 and value only
+    N, K = 1000, 3
+    w = np.resize(np.array([value, 0, value, value, 0], dtype), N + K)
+    signs = np.resize(np.array([1, -1, 0, -1], np.int8), N)
+    g = BoundedSeq.from_samples(w)
+    ints = [int(v) for v in w]
+    table = correlation_table(g, N, K)
+    for k in range(K + 1):
+        assert table.value(k) == sum(ints[n + k] * ints[n] for n in range(N)) / N
+    assert cross_correlation(g, g, N) == sum(v * v for v in ints[:N]) / N
+    want = sum(v * int(s) for v, s in zip(ints, signs)) / N
+    assert cross_correlation(g, BoundedSeq.from_samples(signs), N) == want
+
+
+def test_sign_windows_are_their_own_samples():
+    for arr in (np.array([1, -1, 0], np.int8), np.array([1, -1, 0], np.int64),
+                np.array([1, 0, 1], np.uint8)):
+        assert BoundedSeq.from_samples(arr).samples is arr
+    for arr in (np.array([1, -1, 2], np.int8), np.array([-2, 0], np.int64),
+                np.array([1.0, -1.0]), np.array([True, False]), np.array([1 + 0j])):
+        assert BoundedSeq.from_samples(arr).samples is None
+
+
 @pytest.mark.parametrize("values, bound", [
     (np.array([-128, 5], np.int8), 128.0),
     (np.full(4, -128, np.int8), 128.0),
