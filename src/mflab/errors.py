@@ -22,10 +22,6 @@ class GridTooCoarseError(ValueError):
     """Bin grid cannot resolve the requested frequency content."""
 
 
-class ResolutionError(ValueError):
-    """Fourier index outside the band the bin grid can represent."""
-
-
 class ZeroMassError(ValueError):
     """Measure with zero total mass where a probability measure is needed."""
 

@@ -155,6 +155,13 @@ def sign_window(label: str, hi: int) -> np.ndarray:
     return WINDOWS.get(label, hi)
 
 
+def squarefree_support(hi: int) -> np.ndarray:
+    """A window for n = 1..hi that is nonzero exactly where n is square-free:
+    an adopted square-free window if one covers hi, else the Mobius window,
+    so neither is derived nor sieved.  Both are read through sign_window."""
+    return sign_window("squarefree" if WINDOWS._length("squarefree") >= hi else "mobius", hi)
+
+
 def load_caches(directory: str | Path) -> None:
     """Verify every *.bin file in directory, in sorted order, then adopt each
     window for the label in its header, whatever the file name.
@@ -239,15 +246,16 @@ class Pattern:
 def pattern_correlation(pattern: Pattern, N: int, label: str = "mobius") -> float:
     """(1/N) * sum_{n<=N} of the product of label(n + a)^e over the pattern.
 
-    Unless an adopted cache covers it, a square-free factor is read off the
-    Mobius window as mobius(n + a)^2, two factors whatever its exponent."""
+    A square-free factor is read off squarefree_support as its square, two
+    factors whatever its exponent."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
     reach = max(pattern.shifts)
     exponents = pattern.exponents
-    if label == "squarefree" and WINDOWS._length(label) < N + reach:
-        label, exponents = "mobius", (2,) * len(exponents)
-    w = sign_window(label, N + reach)
+    if label == "squarefree":
+        w, exponents = squarefree_support(N + reach), (2,) * len(exponents)
+    else:
+        w = sign_window(label, N + reach)
     factors = [w[a:] for a, e in zip(pattern.shifts, exponents) for _ in range(e)]
     return product_sum(factors, N) / N
 

@@ -23,12 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    GridTooCoarseError,
-    ResolutionError,
-    ZeroMassError,
-)
+from .errors import GridMismatchError, GridTooCoarseError, ZeroMassError
 
 DEFAULT_BINS = 4096
 
@@ -145,10 +140,10 @@ def fourier_coeff(eta: TorusMeasure, k: int) -> complex:
     """k-th Fourier coefficient, density part taken at bin midpoints.
 
     Only |k| <= bins / 2 is resolved by the grid; beyond that the midpoint
-    rule aliases, so ResolutionError is raised instead.
+    rule aliases, so GridTooCoarseError is raised instead.
     """
     if abs(k) > eta.bins // 2:
-        raise ResolutionError(f"|k|={abs(k)} beyond grid resolution {eta.bins // 2}")
+        raise GridTooCoarseError(f"|k|={abs(k)} beyond grid resolution {eta.bins // 2}")
     coeff = complex(np.sum(eta.bin_masses() * np.exp(-1j * k * eta.midpoints)))
     for pos, mass in eta.atoms:
         coeff += mass * complex(math.cos(k * pos), -math.sin(k * pos))

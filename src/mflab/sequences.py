@@ -55,7 +55,8 @@ class BoundedSeq:
                      sup_bound: float | None = None) -> "BoundedSeq":
         """Wrap an arbitrary sample window anchored at index 1.  An integer
         window with every value in {-1, 0, 1} is its own samples; fn returns
-        values in the dtype promoted with int64, so no product wraps."""
+        values in the dtype promoted with float64, so no product wraps (an
+        integer product above 2**53 rounds instead)."""
         arr = np.asarray(values)
         integer = arr.dtype.kind in "iu"
         low = high = 0
@@ -65,7 +66,7 @@ class BoundedSeq:
         if sup_bound is None:
             exact_abs = len(arr) and not integer  # float, complex and bool values
             sup_bound = float(np.max(np.abs(arr))) if exact_abs else float(max(-low, high))
-        wide = np.result_type(arr.dtype, np.int64)
+        wide = np.result_type(arr.dtype, np.float64)
 
         def fn(idx: np.ndarray) -> np.ndarray:
             if len(idx) and (idx[0] < 1 or idx[-1] > len(arr)):
@@ -153,7 +154,8 @@ def cross_correlation(g: BoundedSeq, h: BoundedSeq, N: int) -> complex:
 class TrigPoly:
     """Finite trigonometric polynomial P(n) = sum_k c_k * exp(i alpha_k n).
 
-    Frequencies are radians in [0, 2*pi), pairwise distinct, ascending.
+    Frequencies are radians, pairwise distinct, ascending; no range is
+    enforced, as rotation_orthogonality reduces each a * alpha mod 2*pi.
     """
 
     freqs: np.ndarray

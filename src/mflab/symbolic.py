@@ -20,7 +20,6 @@ walk with the plain shift, which the tests check symbol by symbol.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -37,7 +36,7 @@ from .errors import (
     WindowTooLongError,
     ZeroSetTooLargeError,
 )
-from .experiments import sign_window
+from .experiments import squarefree_support
 from .sieve import primes_upto
 from .summation import BLOCK
 
@@ -128,10 +127,9 @@ def is_admissible(shifts) -> bool:
     negative shift InvalidRangeError.  A list, tuple or set of Python ints
     is read as it is, with no per-element conversion: the q = 2 test takes
     a & 3, which refuses non-integers, and more than 8 entries are deduped
-    first, so repeats cannot lengthen the q loop.  A 6-element list takes
-    about 0.75 us against 1.7 us with a per-element int() (2-core x86_64,
-    Python 3.11).  Any other input goes once more through operator.index:
-    an iterator has no len, and a numpy scalar can overflow (uint8 % 256).
+    first, so repeats cannot lengthen the q loop.  Any other input goes
+    once more through operator.index: an iterator has no len, and a numpy
+    scalar can overflow (uint8 % 256).
     """
     try:
         if len(shifts) > 8:
@@ -185,8 +183,9 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
     The product estimate truncates at MIRSKY_PRIME_BOUND and handles the zero set
     by inclusion-exclusion over its subsets (capped at 20 shifts).  The
     empirical frequency counts matches among n = 1..n_check, n square-free
-    where the window is nonzero: the Mobius window unless given, read
-    through experiments.sign_window (so the limit and loaded caches apply).
+    where the window is nonzero: experiments.squarefree_support unless given
+    (an adopted square-free cache, else the Mobius window, so the limit and
+    loaded caches apply).
 
     Args:
         ones: shifts required square-free.
@@ -217,7 +216,7 @@ def mirsky_cylinder_density(ones, zeros, n_check: int,
 
     reach = max(ones + zeros, default=0)
     if squarefree_window is None:
-        squarefree_window = sign_window("mobius", n_check + reach)
+        squarefree_window = squarefree_support(n_check + reach)
     if len(squarefree_window) < n_check + reach:
         raise WindowTooLongError("square-free window shorter than n_check plus max shift")
     mask = np.empty(min(BLOCK, n_check), dtype=bool)
@@ -250,15 +249,6 @@ class BlockTable:
 
     def frequency(self, word: tuple[int, ...]) -> float:
         return self.counts.get(tuple(int(s) for s in word), 0) / self.N
-
-    def write_csv(self, path: str) -> None:
-        symbol = {-1: "-", 0: "0", 1: "+"}
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["block", "frequency"])
-            for word in sorted(self.counts):
-                writer.writerow(["".join(symbol[s] for s in word),
-                                 repr(self.counts[word] / self.N)])
 
 
 def _encode_windows(values: np.ndarray, L: int, N: int, binary: bool) -> np.ndarray:

@@ -30,6 +30,7 @@ from mflab.experiments import (
     sign_window,
     small_correlation_fraction,
     squarefree_modulated_sum,
+    squarefree_support,
     two_point_correlation,
     windowed_sum_energy,
 )
@@ -399,6 +400,20 @@ def test_squarefree_pattern_reads_an_adopted_cache_without_sieving(tmp_path, fre
     # past the cache the factors come from the Mobius window
     assert pattern_correlation(pattern, N + 1, "squarefree") == (
         product_sum([sq_window, sq_window[3:]], N + 1) / (N + 1))
+    assert sieve_calls == [("mobius", 1, SEGMENT + 1)]
+
+
+def test_mirsky_reads_an_adopted_squarefree_cache_without_sieving(tmp_path, fresh_windows,
+                                                                   sieve_calls, sq_window):
+    n = 5000
+    want = mirsky_cylinder_density([0, 1, 3], [2], n, squarefree_window=sq_window)
+    write_cache(tmp_path / "squarefree.bin", sieve("squarefree", 1, n + 4))
+    load_caches(tmp_path)
+    assert mirsky_cylinder_density([0, 1, 3], [2], n) == want
+    assert np.shares_memory(squarefree_support(n + 3), ex.WINDOWS._windows["squarefree"])
+    assert sieve_calls == []
+    # past the cache the support is the Mobius window
+    assert np.array_equal(squarefree_support(n + 4), sign_window("mobius", n + 4))
     assert sieve_calls == [("mobius", 1, SEGMENT + 1)]
 
 

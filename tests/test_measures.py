@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflab.errors import GridMismatchError, GridTooCoarseError, ResolutionError, ZeroMassError
+from mflab.errors import GridMismatchError, GridTooCoarseError, ZeroMassError
 from mflab.measures import (
     TorusMeasure,
     _fourier_coeffs,
@@ -126,7 +126,7 @@ def test_fourier_coeff_of_cosine_density():
 
 def test_fourier_coeff_resolution_guard():
     eta = TorusMeasure.uniform(64)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(GridTooCoarseError):
         fourier_coeff(eta, 33)
 
 

@@ -108,10 +108,10 @@ def test_int8_windows_outside_the_sign_alphabet_sum_exactly(value, N):
 
 
 @pytest.mark.parametrize("dtype, value", [(np.uint8, 200), (np.int16, 300), (np.int32, 70_000),
-                                          (np.int8, -128), (np.uint64, 2**40)])
+                                          (np.int8, -128), (np.uint64, 2**40), (np.int64, 2**33)])
 def test_wide_sample_windows_correlate_exactly(dtype, value):
-    # products of two values wrap in each of these dtypes but uint64, whose
-    # promotion with int64 is float64, exact for products of 0 and value only
+    # products of two values wrap in each of these dtypes but uint64; the
+    # float64 promotion is exact for these products of 0 and value
     N, K = 1000, 3
     w = np.resize(np.array([value, 0, value, value, 0], dtype), N + K)
     signs = np.resize(np.array([1, -1, 0, -1], np.int8), N)
@@ -123,6 +123,13 @@ def test_wide_sample_windows_correlate_exactly(dtype, value):
     assert cross_correlation(g, g, N) == sum(v * v for v in ints[:N]) / N
     want = sum(v * int(s) for v, s in zip(ints, signs)) / N
     assert cross_correlation(g, BoundedSeq.from_samples(signs), N) == want
+
+
+def test_int64_sums_past_2_63_round_instead_of_wrapping():
+    value = 3 * 10**9 + 7  # its square fits int64, five of them do not
+    g = BoundedSeq.from_samples(np.full(6, value, np.int64))
+    assert correlation_table(g, 5, 1).value(0) == pytest.approx(value * value, rel=1e-15)
+    assert cross_correlation(g, g, 5) == pytest.approx(value * value, rel=1e-15)
 
 
 def test_sign_windows_are_their_own_samples():
