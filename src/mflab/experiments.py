@@ -10,7 +10,10 @@ product with one table of exp(i theta j), j < ROW, sums each row of ROW
 terms, and each row sum is turned by its phase exp(i theta n0) (see
 summation.modulated_average, which gives the measured error: up to 4.5
 times that of one float64 exp per term at N = 1e7); the float64 row starts
-n0 are exact below 2**53.  Each EXPERIMENTS entry checks and converts an
+n0 are exact below 2**53.  It takes a list of angles and makes one pass for
+all of them, so rotation_orthogonality converts each block of the Mobius
+window to float once for all its harmonics; each angle keeps its own table,
+and so the bits it gets alone.  Each EXPERIMENTS entry checks and converts an
 experiment's params once per report (see build_experiment), refusing
 unknown or missing names and any value of the wrong type or range.
 Reports are JSON with sorted keys, so identical configurations produce
@@ -203,7 +206,7 @@ def mobius_exponential_sum(theta: float, N: int) -> complex:
     """(1/N) * sum_{n<=N} mobius(n) * exp(i n theta)."""
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
-    return modulated_average([sign_window("mobius", N)], theta, N)
+    return modulated_average([sign_window("mobius", N)], [theta], N)[0]
 
 
 def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
@@ -216,7 +219,7 @@ def squarefree_modulated_sum(shifts, theta: float, N: int) -> complex:
     if min(shifts, default=1) < 1:
         raise InvalidRangeError("shifts must be >= 1")
     mu = sign_window("mobius", N + max(shifts, default=0))
-    return modulated_average([mu] + [mu[a:] for a in shifts] * 2, theta, N)
+    return modulated_average([mu] + [mu[a:] for a in shifts] * 2, [theta], N)[0]
 
 
 @dataclass(frozen=True)
@@ -325,15 +328,18 @@ def rotation_orthogonality(alpha: float, poly: TrigPoly, N: int) -> complex:
     """(1/N) * sum_{n<=N} mobius(n) * P(n * alpha) for a trigonometric P.
 
     Evaluates term by term: the harmonic at frequency a contributes its
-    coefficient times the plain exponential average at a * alpha, exactly
-    by linearity.
+    coefficient times the plain exponential average at a * alpha reduced
+    mod 2*pi, exactly by linearity.  All harmonics share one pass over the
+    Mobius window (summation.modulated_average with the list of angles),
+    and each gets the value mobius_exponential_sum gives at its angle.
     """
     if N < 1:
         raise InvalidRangeError(f"N must be >= 1, got {N}")
     total = 0.0 + 0.0j
-    for a, c in zip(poly.freqs, poly.coeffs):
-        theta = math.remainder(float(a) * alpha, 2.0 * math.pi)
-        total += complex(c) * mobius_exponential_sum(theta, N)
+    thetas = [math.remainder(float(a) * alpha, 2.0 * math.pi) for a in poly.freqs]
+    if thetas:  # without harmonics no window is read
+        for c, value in zip(poly.coeffs, modulated_average([sign_window("mobius", N)], thetas, N)):
+            total += complex(c) * value
     return total
 
 

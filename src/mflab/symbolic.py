@@ -12,6 +12,10 @@ patterns follow Mirsky: the probability that all shifts in A land on
 square-free numbers is the product over p of (1 - t(p, A) / p^2) with
 t(p, A) the number of distinct residues of A mod p^2.
 
+Block statistics encode each window as one integer, its symbols as base-2
+or base-3 digits, and sort the codes: uint32 codes while base**L <= 2**32
+(binary L <= 32, ternary L <= 20), uint64 above.
+
 The skew product couples a {0,1} word with a word of signs: each step
 shifts the first word by one and consumes one sign exactly when the symbol
 read off was a 1.  Assembling signs onto a support word intertwines this
@@ -44,6 +48,10 @@ MIRSKY_PRIME_BOUND = 10**4
 ZERO_SET_CAP = 20
 _BINARY_LEN_CAP = 64
 _TERNARY_LEN_CAP = 39
+# is_admissible: the containers read with no per-element conversion, and
+# byte a -> a % 4, the only residue that decides fewer than 9 shifts
+_READ_AS_IS = frozenset((list, tuple, set))
+_MOD4 = bytes(a & 3 for a in range(256))
 
 
 def _word(values, alphabet=(-1, 0, 1), head: int | None = None) -> tuple[np.ndarray, bool]:
@@ -125,12 +133,21 @@ def is_admissible(shifts) -> bool:
     ints, bools, numpy integer scalars or an integer array.  Anything else
     raises TypeError (a float is not truncated, a str not parsed), a
     negative shift InvalidRangeError.  A list, tuple or set of Python ints
-    is read as it is, with no per-element conversion: the q = 2 test takes
-    a & 3, which refuses non-integers, and more than 8 entries are deduped
-    first, so repeats cannot lengthen the q loop.  Any other input goes
-    once more through operator.index: an iterator has no len, and a numpy
-    scalar can overflow (uint8 % 256).
+    is read as it is, with no per-element conversion: fewer than 9 entries
+    in 0..255 are decided by one bytes(shifts).translate(_MOD4), which
+    refuses a negative, a float or a str and sends it on; otherwise the
+    q = 2 test takes a & 3, which refuses non-integers, and more than 8
+    entries are deduped first, so repeats cannot lengthen the q loop.  Any
+    other input goes once more through operator.index: an iterator has no
+    len, and a numpy scalar can overflow (uint8 % 256).
     """
+    if type(shifts) in _READ_AS_IS and len(shifts) < 9:
+        try:
+            mod4 = bytes(shifts).translate(_MOD4)
+        except (TypeError, ValueError):
+            pass
+        else:
+            return not (0 in mod4 and 1 in mod4 and 2 in mod4 and 3 in mod4)
     try:
         if len(shifts) > 8:
             shifts = set(shifts.tolist() if isinstance(shifts, np.ndarray) else shifts)
@@ -255,19 +272,22 @@ def _encode_windows(values: np.ndarray, L: int, N: int, binary: bool) -> np.ndar
     """Integer codes of the N windows values[i : i + L], first symbol most
     significant, digit v for a binary symbol v and v + 1 for a ternary one.
 
-    The int8 symbols are added into the codes in place, one symbol position
-    at a time, working mod 2^64 (a -1 adds 2^64 - 1); a ternary word then
-    gets sum_j 3^j = (3^L - 1) / 2 for its + 1 digits, so only the codes
-    are of length N."""
+    Codes are uint32 whenever base**L <= 2**32 (binary L <= 32, ternary
+    L <= 20), so they sort at half width, and uint64 above.  The int8
+    symbols are added into the codes in place, one symbol position at a
+    time, working mod 2^32 or 2^64 (a -1 adds 2^32 - 1 or 2^64 - 1); a
+    ternary word then gets sum_j 3^j = (3^L - 1) / 2 for its + 1 digits, so
+    only the codes are of length N."""
     kind, cap, base = ("binary", _BINARY_LEN_CAP, 2) if binary else ("ternary", _TERNARY_LEN_CAP, 3)
     if L > cap:
         raise WindowTooLongError(f"{kind} block length capped at {cap}")
-    codes = values[:N].astype(np.uint64)
+    width = np.uint32 if base**L <= 2**32 else np.uint64
+    codes = values[:N].astype(width)
     for j in range(1, L):
         codes *= base
-        np.add(codes, values[j : j + N], out=codes, dtype=np.uint64, casting="unsafe")
+        np.add(codes, values[j : j + N], out=codes, dtype=width, casting="unsafe")
     if not binary:
-        codes += np.uint64((3**L - 1) // 2)
+        codes += (3**L - 1) // 2
     return codes
 
 
@@ -366,7 +386,7 @@ def block_entropy_estimate(x, L_grid, N: int) -> EntropyEstimate:
     exps = []
     for L, longer in zip(grid[::-1], grid[-1:] + grid[::-1]):
         if L < longer:
-            codes //= np.uint64((2 if binary else 3) ** (longer - L))
+            codes //= (2 if binary else 3) ** (longer - L)
         distinct = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
         exps.insert(0, math.log2(distinct) / L)
     envelope = list(np.minimum.accumulate(exps))

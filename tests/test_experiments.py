@@ -324,16 +324,28 @@ def test_block_kernels_allocate_no_window_sized_array(mu_window, lam_window, sq_
     assert all(peak < 1 << 20 for peak in peaks.values()), peaks
 
 
-def test_rotation_orthogonality_is_linear():
+@pytest.mark.parametrize("N", [10**4, 2**20 - 1, 2**20 + 1, 3 * 2**20 + 5])
+def test_rotation_orthogonality_is_linear(N):
+    # one pass over the window serves every harmonic, bit for bit; at
+    # frequency 0 the angle reduces to 0.0 and keeps the exact integer route
     alpha = 0.77
-    poly = TrigPoly(np.array([1.0, 2.5]), np.array([2.0 + 0j, -1j]))
-    N = 10**4
+    poly = TrigPoly(np.array([0.0, 1.0, 2.5, 3.0]), np.array([0.5, 2.0, -1j, 0.25j]))
+    thetas = [math.remainder(f * alpha, TAU) for f in poly.freqs]
     got = rotation_orthogonality(alpha, poly, N)
-    parts = [
-        c * mobius_exponential_sum(math.remainder(f * alpha, TAU), N)
-        for f, c in zip(poly.freqs, poly.coeffs)
-    ]
-    assert got == sum(parts)
+    want = 0j
+    for theta, c in zip(thetas, poly.coeffs):
+        want += complex(c) * mobius_exponential_sum(theta, N)
+    assert got == want
+    mu = sign_window("mobius", N)
+    values = modulated_average([mu], thetas, N)
+    assert values == [mobius_exponential_sum(theta, N) for theta in thetas]
+    assert thetas[0] == 0.0 and values[0] == complex(int(mu[:N].sum()) / N)
+    assert math.copysign(1.0, values[0].imag) == 1.0
+
+
+def test_rotation_orthogonality_without_harmonics_reads_no_window(fresh_windows, sieve_calls):
+    assert rotation_orthogonality(0.77, TrigPoly(np.array([]), np.array([])), 10**4) == 0j
+    assert sieve_calls == []
 
 
 def test_sign_window_grows_and_reuses(fresh_windows, sieve_calls):
@@ -378,7 +390,7 @@ def test_squarefree_window_is_mobius_squared(tmp_path, fresh_windows, sieve_call
 def test_squarefree_modulated_sum_equals_sieved_squarefree_factors(mu_window, N, theta):
     shifts = [1, 2, 5]
     sq = sieve("squarefree", 1, N + 6).values
-    want = modulated_average([mu_window] + [sq[a:] for a in shifts], theta, N)
+    want = modulated_average([mu_window] + [sq[a:] for a in shifts], [theta], N)[0]
     assert squarefree_modulated_sum(shifts, theta, N) == want
 
 

@@ -1,12 +1,14 @@
 """Block combinatorics, admissibility, Mirsky densities, and the sign skew product."""
 
 import dataclasses
+import importlib.util
 import math
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,49 @@ def test_is_admissible_refuses_non_integer_shifts(bad, size):
     # size 1 skips every residue test but q = 2, 12 entries are deduped first
     with pytest.raises(TypeError):
         is_admissible([*range(0, 4 * size - 4, 4), bad])
+
+
+def _perfbench_oracles():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracles", Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles
+
+
+def test_small_containers_take_the_verdict_of_the_general_path():
+    # a list, tuple or set of fewer than 9 bytes is decided by one translate;
+    # a frozenset is not read as it is, so it takes the general path
+    admissible = _perfbench_oracles().admissible
+    for size in range(9):
+        for combo in combinations(range(12), size):
+            want = admissible(list(combo))
+            assert is_admissible(frozenset(combo)) is want
+            for container in (list, tuple, set):
+                assert is_admissible(container(combo)) is want
+
+
+@pytest.mark.parametrize("bad, error", [(1.5, TypeError), (np.float64(2), TypeError),
+                                        ("3", TypeError), (-1, InvalidRangeError)], ids=repr)
+@pytest.mark.parametrize("container", [list, tuple, set])
+def test_small_containers_refuse_what_the_general_path_refuses(bad, error, container):
+    with pytest.raises(error):
+        is_admissible(container([0, 1, bad]))
+    with pytest.raises(error):
+        is_admissible(container([bad]))
+
+
+def test_small_containers_accept_every_integer_the_general_path_accepts():
+    assert is_admissible([True, False]) is True
+    assert is_admissible([True, False, 2, 3]) is False
+    assert is_admissible([np.uint8(1), np.int64(2), np.uint64(3), 0]) is False
+    assert is_admissible([np.int16(1), np.int64(2), np.uint64(3)]) is True
+    assert is_admissible([255, 0, 1, 2]) is False  # 255 % 4 = 3
+    assert is_admissible([256, 1, 2, 3]) is False  # past the byte range, 256 % 4 = 0
+    assert is_admissible([256, 1, 2, 6]) is True
+    assert is_admissible({0, 1, 2, 255}) is False and is_admissible((0, 4, 8)) is True
+    assert is_admissible([]) is True and is_admissible(()) is True
+    assert is_admissible(set()) is True
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
@@ -345,8 +390,9 @@ def test_entropy_distinct_counts_match_brute_force(alphabet, L):
 
 
 @pytest.mark.parametrize("alphabet, L", [
-    ((0, 1), 1), ((0, 1), 5), ((0, 1), _BINARY_LEN_CAP),
-    ((-1, 0, 1), 1), ((-1, 0, 1), 5), ((-1, 0, 1), _TERNARY_LEN_CAP),
+    ((0, 1), 1), ((0, 1), 5), ((0, 1), 32), ((0, 1), 33), ((0, 1), _BINARY_LEN_CAP),
+    ((-1, 0, 1), 1), ((-1, 0, 1), 5), ((-1, 0, 1), 20), ((-1, 0, 1), 21),
+    ((-1, 0, 1), _TERNARY_LEN_CAP),
 ])
 def test_encode_windows_matches_python_fold(alphabet, L):
     binary = alphabet == (0, 1)
@@ -356,13 +402,30 @@ def test_encode_windows_matches_python_fold(alphabet, L):
     word = np.concatenate([_repetitive_word(alphabet, N - 1, seed=L),
                            np.full(L, alphabet[-1], dtype=np.int8)])
     codes = _encode_windows(word, L, N, binary)
-    assert codes.dtype == np.uint64 and len(codes) == N
+    # half-width codes while base**L fits 32 bits: binary L <= 32, ternary L <= 20
+    assert codes.dtype == (np.uint32 if base**L <= 2**32 else np.uint64) and len(codes) == N
     for i in range(N):
         code = 0
         for symbol in word[i : i + L]:
             code = code * base + int(symbol) - alphabet[0]
         assert int(codes[i]) == code
     assert int(codes[-1]) == base**L - 1
+
+
+@pytest.mark.parametrize("alphabet, L", [((0, 1), 32), ((0, 1), 33),
+                                         ((-1, 0, 1), 20), ((-1, 0, 1), 21)])
+def test_block_statistics_agree_across_the_code_width_boundary(alphabet, L):
+    # L is the last length with 32-bit codes or the first with 64-bit ones;
+    # the grid divides codes of one width down to a length below L
+    N = 500
+    word = _repetitive_word(alphabet, N + L - 1, seed=L)
+    table = empirical_block_measure(word, L, N)
+    brute = Counter(tuple(int(v) for v in word[i : i + L]) for i in range(N))
+    assert 1 < len(brute) < N and table.counts == dict(brute)
+    grid = [1, L - 1, L]
+    est = block_entropy_estimate(word, grid, N)
+    assert est.exponents == [math.log2(len({tuple(word[i : i + k]) for i in range(N)})) / k
+                             for k in grid]
 
 
 def test_entropy_memory_does_not_scale_with_window(mu_window):
