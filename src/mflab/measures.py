@@ -11,6 +11,12 @@ their Radon-Nikodym derivatives against a dominating mixture.  It is 1
 exactly for equal probability measures and 0 exactly for mutually singular
 ones, and does not depend on the mixture weight; the weight is still a
 parameter so that independence can be checked rather than assumed.
+
+Memory: affinity holds three bins-sized float arrays (both sides' masses
+and the mixture) plus a bool mask, rajchman_profile two (the masses and
+their rfft) and smoothed three, all written in place.  Fourier
+coefficients come from one rfft of the bin masses, so they may differ
+from a full fft in the last bits.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ class TorusMeasure:
         self.density = np.asarray(self.density, dtype=np.float64)
         if self.density.shape != (self.bins,):
             raise ValueError("density must have shape (bins,)")
-        if np.any(self.density < 0):
-            raise ValueError("density must be non-negative")
+        d = self.density
+        if not 0.0 <= d.min() <= d.max() < math.inf:
+            raise ValueError("density must be finite and non-negative")
         self.atoms = sorted((float(p), float(m)) for p, m in self.atoms)
         positions = [p for p, _ in self.atoms]
         if len(set(positions)) != len(positions):
@@ -53,8 +60,8 @@ class TorusMeasure:
         for p, m in self.atoms:
             if not 0.0 <= p < TAU:
                 raise ValueError(f"atom position {p} outside [0, 2*pi)")
-            if m <= 0.0:
-                raise ValueError(f"atom mass must be positive, got {m}")
+            if not 0.0 < m < math.inf:
+                raise ValueError(f"atom mass must be positive and finite, got {m}")
 
     @classmethod
     def uniform(cls, bins: int = DEFAULT_BINS) -> "TorusMeasure":
@@ -99,6 +106,14 @@ def _check_grids(eta: TorusMeasure, nu: TorusMeasure) -> None:
         raise GridMismatchError(f"bin grids differ: {eta.bins} vs {nu.bins}")
 
 
+def _unit_masses(eta: TorusMeasure) -> tuple[np.ndarray, dict]:
+    """The bin masses and atoms of eta.normalized(), the masses written over
+    its density array, so (density / total) * bin_width bit for bit."""
+    p = eta.normalized()
+    p.density *= p.bin_width
+    return p.density, dict(p.atoms)
+
+
 def affinity(eta: TorusMeasure, nu: TorusMeasure, mix: float = 0.5) -> float:
     """Hellinger affinity of the two measures, normalised to probabilities.
 
@@ -109,20 +124,25 @@ def affinity(eta: TorusMeasure, nu: TorusMeasure, mix: float = 0.5) -> float:
     if not 0.0 < mix < 1.0:
         raise ValueError(f"mix must lie strictly between 0 and 1, got {mix}")
     _check_grids(eta, nu)
-    p = eta.normalized()
-    q = nu.normalized()
+    pm, pa = _unit_masses(eta)
+    qm, qa = _unit_masses(nu)
 
     total = 0.0
-    pm = p.bin_masses()
-    qm = q.bin_masses() if p.bins == q.bins else np.zeros_like(pm)
-    lam = mix * pm + (1.0 - mix) * qm
-    live = lam > 0.0
-    ratio = np.zeros_like(lam)
-    ratio[live] = np.sqrt((pm[live] / lam[live]) * (qm[live] / lam[live]))
-    total += float(np.sum(ratio * lam))
+    if eta.bins == nu.bins:  # else one density is zero and adds nothing
+        lam = np.multiply(qm, 1.0 - mix)
+        pm *= mix
+        lam += pm
+        del pm  # the scaled masses go before the exact ones come back
+        pm = _unit_masses(eta)[0]
+        # off live, lam = 0 forces pm = qm = 0 (or a subnormal): the product is 0
+        live = lam > 0.0
+        np.divide(pm, lam, out=pm, where=live)
+        np.divide(qm, lam, out=qm, where=live)
+        pm *= qm
+        np.sqrt(pm, out=pm)
+        pm *= lam
+        total += float(np.sum(pm))
 
-    qa = dict(q.atoms)
-    pa = dict(p.atoms)
     for pos in sorted(set(pa) | set(qa)):
         a, b = pa.get(pos, 0.0), qa.get(pos, 0.0)
         lm = mix * a + (1.0 - mix) * b
@@ -150,16 +170,17 @@ def fourier_coeff(eta: TorusMeasure, k: int) -> complex:
     return coeff
 
 
-def _fourier_coeffs(eta: TorusMeasure, K: int) -> np.ndarray:
-    """fourier_coeff(eta, k) for k = 0..K, K <= bins // 2, from one FFT.
+def _fourier_coeffs(masses: np.ndarray, atoms, K: int) -> np.ndarray:
+    """fourier_coeff(eta, k) for k = 0..K, K <= bins // 2, from one rfft,
+    given eta's bin masses and its (position, mass) atoms.
 
-    The FFT sums the bin masses against exp(-2 pi i j k / bins); the
+    The rfft sums the bin masses against exp(-2 pi i j k / bins); the
     midpoint of bin j sits half a bin further on, which turns coefficient k
     by exp(-i pi k / bins).  Atoms are added exactly, one per atom.
     """
     k = np.arange(K + 1)
-    coeffs = np.fft.fft(eta.bin_masses())[: K + 1] * np.exp(-1j * np.pi * k / eta.bins)
-    for pos, mass in eta.atoms:
+    coeffs = np.fft.rfft(masses)[: K + 1] * np.exp(-1j * np.pi * k / len(masses))
+    for pos, mass in atoms:
         phase = k * pos
         coeffs += mass * (np.cos(phase) - 1j * np.sin(phase))
     return coeffs
@@ -176,7 +197,7 @@ def wiener_continuity_stat(eta: TorusMeasure, K: int) -> float:
         raise ValueError(f"K must be >= 0, got {K}")
     if K > eta.bins // 2:
         raise GridTooCoarseError(f"K={K} beyond grid resolution {eta.bins // 2}")
-    return float(np.mean(np.abs(_fourier_coeffs(eta, K)) ** 2))
+    return float(np.mean(np.abs(_fourier_coeffs(eta.bin_masses(), eta.atoms, K)) ** 2))
 
 
 @dataclass
@@ -203,8 +224,8 @@ def rajchman_profile(eta: TorusMeasure, K: int) -> RajchmanProfile:
         raise ValueError(f"K must be >= 1, got {K}")
     if K > eta.bins // 2:
         raise GridTooCoarseError(f"K={K} beyond grid resolution {eta.bins // 2}")
-    p = eta.normalized()
-    vals = np.abs(_fourier_coeffs(p, K))
+    masses, atoms = _unit_masses(eta)
+    vals = np.abs(_fourier_coeffs(masses, atoms.items(), K))
     tail_max = float(np.max(vals[K // 2 :]))
     running = np.maximum.accumulate(vals[::-1])[::-1]
     return RajchmanProfile(vals, tail_max, running, bool(tail_max > 1.0 - 1e-3))
@@ -230,11 +251,12 @@ def smoothed(eta: TorusMeasure, scale: float) -> TorusMeasure:
     kernel = np.maximum(0.0, 1.0 - np.abs(offsets) * width / scale)
     kernel /= kernel.sum()
 
-    masses = eta.bin_masses().copy()
+    masses = eta.bin_masses()
     for pos, mass in eta.atoms:
         masses[int(pos / width) % bins] += mass
     out = np.convolve(np.pad(masses, half, mode="wrap"), kernel, mode="valid")
-    return TorusMeasure(bins, out / width, [])
+    out /= width
+    return TorusMeasure(bins, out, [])
 
 
 def write_json(eta: TorusMeasure, path: str | Path) -> None:
@@ -255,8 +277,8 @@ def read_json(path: str | Path) -> TorusMeasure:
         bins, density = obj["bins"], obj["density"]
         atoms = [(a["pos"], a["mass"]) for a in obj.get("atoms", [])]
         if type(bins) is not int or not all(
-                type(x) in (int, float) and math.isfinite(x) for x in [*density, *chain(*atoms)]):
-            raise TypeError("bins must be an integer, the density and atoms finite numbers")
+                type(x) in (int, float) for x in [*density, *chain(*atoms)]):
+            raise TypeError("bins must be an integer, the density and atoms numbers")
         return TorusMeasure(bins, np.array(density, dtype=np.float64), atoms)
     except KeyError as exc:
         raise ValueError(f"measure file {str(path)!r} has no key {exc}") from exc

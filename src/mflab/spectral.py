@@ -16,6 +16,10 @@ They are computed analytically as truncated lag correlations
 
 which differ from the full window correlation F_n(k) by k edge terms only,
 so |F_n(k) - sigma_hat(k)| <= (k/n) * sup^2 holds exactly.
+
+Memory: periodogram holds one bins-sized complex array (the zero-padded
+window, twisted, transformed and scaled in place) and one float array
+(the density); a window with samples is read as a slice of them.
 """
 
 from __future__ import annotations
@@ -61,11 +65,22 @@ def periodogram(g: BoundedSeq, n: int, bins: int | None = None) -> Periodogram:
         bins = _next_pow2(max(4096, 2 * n))
     if bins < 2 * n:
         raise GridTooCoarseError(f"bins={bins} below the 2n={2 * n} floor")
-    w = g.eval(np.arange(1, n + 1, dtype=np.int64)).astype(np.complex128)
+    s = g.samples
+    w = s[:n] if s is not None and n <= len(s) else g.eval(np.arange(1, n + 1, dtype=np.int64))
     padded = np.zeros(bins, dtype=np.complex128)
-    padded[:n] = w * np.exp(1j * np.pi * np.arange(n) / bins)
-    transform = np.fft.ifft(padded) * bins
-    density = np.abs(transform) ** 2 / (n * TAU)
+    head = padded[:n]
+    np.multiply(1j * np.pi, np.arange(n), out=head)
+    np.divide(head, bins, out=head)
+    np.exp(head, out=head)
+    # A complex product's last bit depends on operand order, and numpy runs
+    # w * phase as phase * w, in place, once the phase temporary reaches its
+    # 256 KiB elision size; that order is kept so complex windows keep their bits.
+    np.multiply(*((head, w) if head.nbytes >= 1 << 18 else (w, head)), out=head)
+    np.fft.ifft(padded, out=padded)
+    padded *= bins
+    density = np.abs(padded)
+    density **= 2
+    density /= n * TAU
     return Periodogram(n, TorusMeasure(bins, density, []), label=g.label)
 
 
