@@ -22,7 +22,10 @@ lag_sums_s (correlation_table(mobius, 1e6, 128) plus
 small_correlation_fraction(8, 1e7, 0.001) on windows sieved before the
 clock starts) take 3 samples a round, as one a round spread too widely to
 show a change below about 20% and 40%, and the slow band of the lag
-samples belongs to the process, not to the call.  A COMMANDS row is a
+samples belongs to the process, not to the call.  spectral_2e20_s times
+the mobius and liouville periodograms at n = 2**20, their affinity and
+both rajchman_profile(., 32), on windows sieved before the clock starts.
+A COMMANDS row is a
 command timed end to end in a fresh process, start-up included:
 `mfl experiment --id mobius_exponential --n-grid 10000000`, the decay
 battery against its goldens, and the Tier-1 suite, `python -m pytest -q
@@ -103,6 +106,19 @@ LAYERS = {
         "sets = make_inputs('lab_cached', {seed})['shift_sets']",
         "for shifts in sets:\n"
         "    is_admissible(shifts)"),
+    "spectral_2e20_s": (
+        1, "",
+        "from mflab.experiments import sign_window\n"
+        "from mflab.measures import affinity, rajchman_profile\n"
+        "from mflab.sequences import BoundedSeq\n"
+        "from mflab.spectral import periodogram\n"
+        "n = 2**20\n"
+        "gs = [BoundedSeq.from_samples(sign_window(label, n + 8), label=label, sup_bound=1.0)\n"
+        "      for label in ('mobius', 'liouville')]",
+        "a, b = (periodogram(g, n).measure for g in gs)\n"
+        "affinity(a, b)\n"
+        "rajchman_profile(a, 32)\n"
+        "rajchman_profile(b, 32)"),
 }
 # name: (samples per round, arguments of python), timed end to end
 COMMANDS = {

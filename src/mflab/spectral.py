@@ -19,7 +19,7 @@ so |F_n(k) - sigma_hat(k)| <= (k/n) * sup^2 holds exactly.
 
 Memory: periodogram holds one bins-sized complex array (the zero-padded
 window, twisted, transformed and scaled in place) and one float array
-(the density); a window with samples is read as a slice of them.
+(the density); the n window values are dropped once multiplied in.
 """
 
 from __future__ import annotations
@@ -65,17 +65,14 @@ def periodogram(g: BoundedSeq, n: int, bins: int | None = None) -> Periodogram:
         bins = _next_pow2(max(4096, 2 * n))
     if bins < 2 * n:
         raise GridTooCoarseError(f"bins={bins} below the 2n={2 * n} floor")
-    s = g.samples
-    w = s[:n] if s is not None and n <= len(s) else g.eval(np.arange(1, n + 1, dtype=np.int64))
+    w = g.eval(np.arange(1, n + 1, dtype=np.int64))
     padded = np.zeros(bins, dtype=np.complex128)
     head = padded[:n]
     np.multiply(1j * np.pi, np.arange(n), out=head)
     np.divide(head, bins, out=head)
     np.exp(head, out=head)
-    # A complex product's last bit depends on operand order, and numpy runs
-    # w * phase as phase * w, in place, once the phase temporary reaches its
-    # 256 KiB elision size; that order is kept so complex windows keep their bits.
-    np.multiply(*((head, w) if head.nbytes >= 1 << 18 else (w, head)), out=head)
+    np.multiply(w, head, out=head)
+    del w
     np.fft.ifft(padded, out=padded)
     padded *= bins
     density = np.abs(padded)

