@@ -132,7 +132,8 @@ def test_spectral_layer_holds_few_bins_sized_arrays(sequences):
     gram = periodogram(sequences[0], n).measure
     other = periodogram(sequences[1], n).measure
     budgets = {
-        # the padded complex buffer and the density; the allocating version held 6.1
+        # the padded complex buffer, then beside it the window and the twist's
+        # indices (0.5 each) or the density (1); the allocating version held 6.1
         "periodogram": (lambda: periodogram(sequences[0], n), 2 + 1),
         # both sides' masses, the mixture and a bool mask; it held 9.1
         "affinity": (lambda: affinity(gram, other), 3),
