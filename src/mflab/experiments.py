@@ -6,11 +6,11 @@ Averages over integer-valued windows are computed in exact integer
 arithmetic and divided once at the end.  Modulated averages
 (1/N) sum mask[n-1] exp(i n theta) use the row-phase identity
 exp(i theta (n0 + j)) = exp(i theta n0) exp(i theta j): a small matrix
-product with one table of exp(i theta j), j < ROW, sums each row of ROW
-terms, and each row sum is turned by its phase exp(i theta n0) (see
-summation.modulated_average, which gives the measured error: up to 4.5
-times that of one float64 exp per term at N = 1e7); the float64 row starts
-n0 are exact below 2**53.  It takes a list of angles and makes one pass for
+product with one table of exp(i theta j), j < ROW, rounded to integers,
+sums each row of ROW terms exactly, and each row sum is turned by its phase
+exp(i theta n0), so the bits do not depend on the BLAS kernel (see
+summation.modulated_average, which states the error bound); the float64
+row starts n0 are exact below 2**53.  It takes a list of angles and makes one pass for
 all of them, so rotation_orthogonality converts each block of the Mobius
 window to float once for all its harmonics; each angle keeps its own table,
 and so the bits it gets alone.  Each EXPERIMENTS entry checks and converts an

@@ -7,8 +7,9 @@ on int64 index arrays.
 
 Lag correlations F_N(k) = (1/N) * sum_{n=1..N} g(n+k) * conj(g(n)) are the
 finite-scale stand-in for the autocorrelation of g; tables of them feed the
-spectral modules.  Averages use the chunked compensated summation helper;
-sign windows (integer samples in {-1, 0, 1}) take exact integer sums.
+spectral modules.  Averages use the chunked summation helper, whose chunk
+sums math.fsum folds; sign windows (integer samples in {-1, 0, 1}) take
+exact integer sums.
 A TrigPoly is the checked (frequencies, coefficients) pair that
 experiments.rotation_orthogonality sums against.
 """
@@ -117,7 +118,7 @@ class CorrelationTable:
 
 def correlation_sums(g: BoundedSeq, lags: Sequence[int], lo: int, hi: int) -> list[complex]:
     """[sum_{n=lo..hi-1} g(n+k) * conj(g(n)) for k in lags]: with samples, exact
-    sums from one lag_sums call (as floats), else a compensated chunked_sum per lag."""
+    sums from one lag_sums call (as floats), else a chunked_sum per lag."""
     if g.samples is None:
         return [chunked_sum(lambda idx: g.eval(idx + k) * np.conj(g.eval(idx)), lo, hi)
                 for k in lags]

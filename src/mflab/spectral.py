@@ -25,6 +25,7 @@ window, twisted, transformed and scaled in place) and one float array
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .errors import GridTooCoarseError, InvalidRangeError, LagTooLargeError
 from .experiments import check_grid
 from .measures import TAU, TorusMeasure
 from .sequences import BoundedSeq, correlation_sums
-from .summation import KahanAccumulator
 
 DIRICHLET_GRID_FACTOR = 8
 
@@ -190,8 +190,5 @@ def dirichlet_energy(eta: TorusMeasure, h: int, k: int) -> float:
         out[~flat] = (num[~flat] / s[~flat]) ** 2
         return out
 
-    acc = KahanAccumulator()
-    acc.add(np.sum(kernel_sq(eta.midpoints) * eta.bin_masses()))
-    for pos, mass in eta.atoms:
-        acc.add(mass * float(kernel_sq(np.array([pos]))[0]))
-    return acc.total.real
+    return math.fsum([np.sum(kernel_sq(eta.midpoints) * eta.bin_masses())]
+                     + [mass * float(kernel_sq(np.array([pos]))[0]) for pos, mass in eta.atoms])

@@ -1,9 +1,10 @@
-"""Compensated accumulation for long averages.
+"""Exact accumulation for long averages.
 
 Averages over 1e7 terms and more are evaluated in fixed-size chunks.  Each
 chunk is reduced with numpy's pairwise summation, and the chunk totals are
-folded together left to right with Kahan compensation.  The chunk size is a
-module constant, so a given input always produces bit-identical output.
+folded with math.fsum, which rounds their exact sum once and so does not
+depend on their order.  The chunk size is a module constant, so a given
+input always produces bit-identical output.
 
 chunked_sum runs that loop over a term evaluated on int64 index arrays;
 modulated_average runs it for a list of angles at once, one pass over the
@@ -27,6 +28,7 @@ half a MiB.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator
 
 import numpy as np
@@ -34,40 +36,20 @@ import numpy as np
 CHUNK = 1 << 20
 # slice length of the window reductions; CHUNK is a multiple of it
 BLOCK = 1 << 16
-# modulated_average: terms per row of the phase table
+# modulated_average: terms per row of the phase table, and the scale of its
+# integer entries, so that a row sum of a mask in {-1, 0, 1} stays below 2**53
 ROW = 1 << 10
+SCALE = 2.0**53 / ROW
 # indices per packed span of the bit-plane lag sums
 PLANE_SPAN = 1 << 18
 
 
-class KahanAccumulator:
-    """Kahan-compensated running sum over complex (or real) addends."""
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self) -> None:
-        self._sum = 0j
-        self._comp = 0j
-
-    def add(self, value: complex) -> None:
-        y = complex(value) - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-
-    @property
-    def total(self) -> complex:
-        return self._sum
-
-
 def chunked_sum(term: Callable[[np.ndarray], np.ndarray], lo: int, hi: int) -> complex:
     """sum of term(idx) over the int64 indices idx in [lo, hi): each CHUNK of
-    indices is summed pairwise and the chunk sums folded with Kahan
-    compensation."""
-    acc = KahanAccumulator()
-    for start in range(lo, hi, CHUNK):
-        acc.add(np.sum(term(np.arange(start, min(start + CHUNK, hi), dtype=np.int64))))
-    return acc.total
+    indices is summed pairwise and the chunk sums folded with math.fsum."""
+    sums = [complex(np.sum(term(np.arange(start, min(start + CHUNK, hi), dtype=np.int64))))
+            for start in range(lo, hi, CHUNK)]
+    return complex(math.fsum(z.real for z in sums), math.fsum(z.imag for z in sums))
 
 
 def blocks(factors: list[np.ndarray], N: int, out: np.ndarray,
@@ -195,38 +177,58 @@ def product_sum(factors: list[np.ndarray], N: int) -> int:
 def modulated_average(factors: list[np.ndarray], thetas: list[float], N: int) -> list[complex]:
     """[(1/N) * sum_{n=1..N} mask[n-1] * exp(i n theta) for theta in thetas],
     exact when theta = 0, where mask is the product of the factors, formed
-    one BLOCK at a time in their result dtype.
+    one BLOCK at a time in their result dtype.  The mask must lie in
+    {-1, 0, 1}; every caller's is a product of sign windows, and nothing
+    checks it.
 
     Uses exp(i theta (n0 + j)) = exp(i theta n0) * exp(i theta j): the
     mask is cut into rows of ROW consecutive terms starting at n0, one
     product with a (ROW, 2) table of cos(theta j), sin(theta j), j < ROW,
-    sums every row of a BLOCK-sized piece, and each row sum is turned by
-    its row phase exp(i theta n0).  The turned row sums are summed per
-    CHUNK and the chunk totals folded with Kahan compensation.  The phase
-    theta*n0 is rounded once per row; the float64 row starts n0 are exact
-    below 2**53.  One pass serves every angle: each piece is converted to
-    float once, and each angle's own table multiplies it, so an angle's
-    result does not depend on the others.
+    rounded to integers at SCALE = 2**43, sums every row of a BLOCK-sized
+    piece, and each row sum (R, I) is turned by its row phase, with
+    c, s = cos(theta n0), sin(theta n0), to (c R - s I, s R + c I) in real
+    multiplies.  Every row sum is an integer below 2**53, so exact in
+    float64 whatever order or fused multiply-add the BLAS kernel uses; the
+    real ufuncs, np.sum and math.fsum do not depend on numpy's CPU dispatch
+    either, so the result is the same bits under every BLAS kernel and
+    dispatch target (cos and sin come from numpy's own routines; another
+    platform's may round them differently).  The turned row
+    sums are summed per CHUNK, each angle's chunk totals are folded with
+    math.fsum, and the total is divided by SCALE * N.  One pass serves
+    every angle: each piece is converted to float once, and each angle's
+    own table multiplies it, so an angle's result does not depend on the
+    others.  The float64 row starts n0 are exact below 2**53.
 
-    Measured error, for the Mobius window against a reference that sums
-    mobius(n) * exp(i n theta) with x87 longdouble phases and cos/sin at the
-    same float theta (numpy 2.4, x86_64): at theta = 2*pi*0.6180339887498949
-    the result was off by 2.1e-14 at N = 1e6 and 6.2e-13 at N = 1e7, where
-    one float64 exp per term was off by 1.5e-14 and 1.4e-13, so up to 4.5
-    times worse.  At 0.251 and 0.1234567 turns it was 0.4 to 1.4 times the
-    per-term error (at most 6.8e-14).
+    Error bound against the sum at the same float theta, with u = 2**-53,
+    M the number of nonzero mask terms and Z_r = (R + i I) / SCALE the row
+    sums: a table entry is off from exp(i theta j) by its rounding to
+    SCALE, at most 2**-44 per part, plus the rounding of the phase theta*j
+    (at most |theta| ROW u) and an ulp of cos and sin; a turn is off by
+    the rounding of its phase theta*n0, at most |theta| n0 u, plus the
+    ulps of cos, sin, the products and the pairwise chunk sum, so
+
+        |error| <= (M/N) (2**-43.5 + |theta| ROW u + 2u)
+                   + (1/N) sum_r |Z_r| (|theta| n0_r u + 32u).
+
+    The row phases dominate at large N.  Measured for the Mobius window
+    against a reference that sums mobius(n) * exp(i n theta) with x87
+    longdouble phases and cos/sin at the same float theta (x86_64): at
+    theta = 2*pi*0.6180339887498949 the result was off by 2.1e-14 at
+    N = 1e6 and 6.2e-13 at N = 1e7, where one float64 exp per term was
+    off by 1.5e-14 and 1.4e-13.  At 0.251 and 0.1234567 turns it was at
+    most 6.8e-14.  These are the errors of the float table the integer one
+    replaced: its rounding is far below that of the phases.
     """
     turning = [theta for theta in thetas if theta != 0.0]
-    tables = []
-    for theta in turning:
-        j = theta * np.arange(ROW)
-        tables.append(np.stack((np.cos(j), np.sin(j)), axis=1))
+    j = np.arange(ROW)
+    tables = [np.rint(SCALE * np.stack((np.cos(theta * j), np.sin(theta * j)), axis=1))
+              for theta in turning]
     buf = np.empty(BLOCK)  # float64, reused for every piece
     mask = np.empty(BLOCK, dtype=np.result_type(*factors))
-    accs = [KahanAccumulator() for _ in turning]
+    parts = [([], []) for _ in turning]  # each angle's chunk totals, real and imaginary
     for lo in range(0, N if turning else 0, CHUNK):
         hi = min(lo + CHUNK, N)
-        sums = np.empty((len(turning), -(-(hi - lo) // ROW), 2))  # (cos, sin) sum per row
+        sums = np.empty((len(turning), -(-(hi - lo) // ROW), 2))  # (R, I) per row
         for b, part in blocks([f[lo:] for f in factors], hi - lo, mask):
             size = len(part)
             rows = -(-size // ROW)
@@ -237,8 +239,11 @@ def modulated_average(factors: list[np.ndarray], thetas: list[float], N: int) ->
                 np.matmul(buf[: rows * ROW].reshape(rows, ROW), table,
                           out=out[first : first + rows])
         starts = np.arange(lo + 1, hi + 1, ROW, dtype=np.float64)
-        for theta, acc, out in zip(turning, accs, sums):
-            acc.add(np.sum(np.exp(1j * theta * starts) * (out[:, 0] + 1j * out[:, 1])))
-    totals = iter(accs)
-    return [next(totals).total / N if theta != 0.0 else complex(product_sum(factors, N) / N)
+        for theta, (re, im), (R, I) in zip(turning, parts, sums.transpose(0, 2, 1)):
+            c, s = np.cos(theta * starts), np.sin(theta * starts)
+            re.append(np.sum(c * R - s * I))
+            im.append(np.sum(s * R + c * I))
+    totals = iter(complex(math.fsum(re) / (SCALE * N), math.fsum(im) / (SCALE * N))
+                  for re, im in parts)
+    return [next(totals) if theta != 0.0 else complex(product_sum(factors, N) / N)
             for theta in thetas]

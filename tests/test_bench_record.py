@@ -1,9 +1,10 @@
 """scripts/bench_record.py, loaded without running it: every layer row's
-code compiles, and the layers it records are those of the checked-in BENCH
-files, so a new recording compares key for key with the old ones."""
+code compiles, and it still records every layer of the newest checked-in
+BENCH file, so a new recording compares key for key with the last one."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -32,5 +33,10 @@ def test_layer_rows_compile(name):
 
 
 def test_layer_names_are_those_of_the_bench_files():
-    recorded = json.loads((ROOT / "BENCH_pr27.json").read_text())["layers"]
-    assert sorted(BENCH.LAYER_NAMES) == sorted(recorded)
+    # inclusion, not equality: a new row can be recorded from the commit that
+    # adds it, while a deleted or renamed row still fails
+    newest = max((path for path in ROOT.glob("BENCH_pr*.json")
+                  if re.fullmatch(r"BENCH_pr\d+\.json", path.name)),
+                 key=lambda path: int(path.stem.removeprefix("BENCH_pr")))
+    recorded = json.loads(newest.read_text())["layers"]
+    assert set(recorded) <= set(BENCH.LAYER_NAMES), newest.name

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,9 @@ from mflab.summation import (
     BLOCK,
     CHUNK,
     PLANE_SPAN,
+    ROW,
     blocks,
+    chunked_sum,
     lag_sums,
     modulated_average,
     product_sum,
@@ -87,6 +90,35 @@ def test_squarefree_modulated_sum_matches_per_element_oracle(mu_window, sq_windo
     mask = mu_window[:N] * sq_window[1 : 1 + N] * sq_window[3 : 3 + N]
     got = squarefree_modulated_sum([1, 3], THETA_STAR, N)
     assert abs(got - _direct_average(mask, THETA_STAR, N)) < 1e-12
+
+
+@pytest.mark.parametrize("turns", [0.251, 0.6180339887498949])
+def test_modulated_average_is_within_its_stated_error_bound(mu_window, turns):
+    # the bound of modulated_average's docstring against mpmath at 40 digits
+    # at the same float theta; N = 3000 crosses two ROW edges
+    N, theta, u = 3000, TAU * turns, 2.0**-53
+    mu = mu_window[:N].tolist()
+    with mpmath.workdps(40):
+        terms = [m * mpmath.expj(mpmath.mpf(theta) * n) for n, m in enumerate(mu, 1) if m]
+        exact = complex(mpmath.fsum(terms) / N)
+        rows = [abs(complex(mpmath.fsum(m * mpmath.expj(mpmath.mpf(theta) * n)
+                                        for n, m in enumerate(mu[r : r + ROW], r + 1) if m)))
+                for r in range(0, N, ROW)]
+    entry = 2.0**-43.5 + abs(theta) * ROW * u + 2 * u
+    bound = entry * sum(map(abs, mu)) / N
+    for r, z in zip(range(0, N, ROW), rows):
+        # the computed row sum is within its entries' error of the exact one
+        z += entry * sum(map(abs, mu[r : r + ROW]))
+        bound += z * (abs(theta) * (r + 1) * u + 32 * u) / N
+    got = modulated_average([mu_window], [theta], N)[0]
+    assert abs(got - exact) <= bound < 1e-12
+
+
+def test_chunked_sum_folds_its_chunk_sums_exactly():
+    # chunk sums 1e16, 1 and -1e16: a compensated fold returned 0j
+    heads = np.array([1e16, 1.0, -1e16])
+    assert chunked_sum(lambda idx: np.where(idx % CHUNK == 0, heads[idx // CHUNK], 0.0),
+                       0, 3 * CHUNK) == 1
 
 
 def test_two_point_pinned_values(lam_window):
