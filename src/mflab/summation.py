@@ -191,8 +191,8 @@ def modulated_average(factors: list[np.ndarray], thetas: list[float], N: int) ->
     float64 whatever order or fused multiply-add the BLAS kernel uses; the
     real ufuncs, np.sum and math.fsum do not depend on numpy's CPU dispatch
     either, so the result is the same bits under every BLAS kernel and
-    dispatch target (cos and sin come from numpy's own routines; another
-    platform's may round them differently).  The turned row
+    dispatch target on one platform (another platform's cos and sin may
+    round differently).  The turned row
     sums are summed per CHUNK, each angle's chunk totals are folded with
     math.fsum, and the total is divided by SCALE * N.  One pass serves
     every angle: each piece is converted to float once, and each angle's
@@ -216,8 +216,7 @@ def modulated_average(factors: list[np.ndarray], thetas: list[float], N: int) ->
     theta = 2*pi*0.6180339887498949 the result was off by 2.1e-14 at
     N = 1e6 and 6.2e-13 at N = 1e7, where one float64 exp per term was
     off by 1.5e-14 and 1.4e-13.  At 0.251 and 0.1234567 turns it was at
-    most 6.8e-14.  These are the errors of the float table the integer one
-    replaced: its rounding is far below that of the phases.
+    most 6.8e-14; the table's rounding is far below that of the phases.
     """
     turning = [theta for theta in thetas if theta != 0.0]
     j = np.arange(ROW)

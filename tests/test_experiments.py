@@ -115,7 +115,7 @@ def test_modulated_average_is_within_its_stated_error_bound(mu_window, turns):
 
 
 def test_chunked_sum_folds_its_chunk_sums_exactly():
-    # chunk sums 1e16, 1 and -1e16: a compensated fold returned 0j
+    # chunk sums 1e16, 1 and -1e16, whose Kahan fold gives 0j
     heads = np.array([1e16, 1.0, -1e16])
     assert chunked_sum(lambda idx: np.where(idx % CHUNK == 0, heads[idx // CHUNK], 0.0),
                        0, 3 * CHUNK) == 1
