@@ -7,9 +7,8 @@ on int64 index arrays.
 
 Lag correlations F_N(k) = (1/N) * sum_{n=1..N} g(n+k) * conj(g(n)) are the
 finite-scale stand-in for the autocorrelation of g; tables of them feed the
-spectral modules.  Averages use the chunked summation helper, whose chunk
-sums math.fsum folds; sign windows (integer samples in {-1, 0, 1}) take
-exact integer sums.
+spectral modules.  Averages use the chunked summation helper (an fsum fold);
+sign windows (integer samples in {-1, 0, 1}) take exact integer sums.
 A TrigPoly is the checked (frequencies, coefficients) pair that
 experiments.rotation_orthogonality sums against.
 """

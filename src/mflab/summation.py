@@ -2,9 +2,8 @@
 
 Averages over 1e7 terms and more are evaluated in fixed-size chunks.  Each
 chunk is reduced with numpy's pairwise summation, and the chunk totals are
-folded with math.fsum, which rounds their exact sum once and so does not
-depend on their order.  The chunk size is a module constant, so a given
-input always produces bit-identical output.
+folded with math.fsum, which rounds their exact sum once, in any order.  The
+chunk size is a module constant, so a given input gives bit-identical output.
 
 chunked_sum runs that loop over a term evaluated on int64 index arrays;
 modulated_average runs it for a list of angles at once, one pass over the
@@ -37,7 +36,7 @@ CHUNK = 1 << 20
 # slice length of the window reductions; CHUNK is a multiple of it
 BLOCK = 1 << 16
 # modulated_average: terms per row of the phase table, and the scale of its
-# integer entries, so that a row sum of a mask in {-1, 0, 1} stays below 2**53
+# integer entries, which keeps a row sum of a {-1, 0, 1} mask below 2**53
 ROW = 1 << 10
 SCALE = 2.0**53 / ROW
 # indices per packed span of the bit-plane lag sums
@@ -178,45 +177,33 @@ def modulated_average(factors: list[np.ndarray], thetas: list[float], N: int) ->
     """[(1/N) * sum_{n=1..N} mask[n-1] * exp(i n theta) for theta in thetas],
     exact when theta = 0, where mask is the product of the factors, formed
     one BLOCK at a time in their result dtype.  The mask must lie in
-    {-1, 0, 1}; every caller's is a product of sign windows, and nothing
-    checks it.
+    {-1, 0, 1}: every caller's is a product of sign windows, unchecked.
 
-    Uses exp(i theta (n0 + j)) = exp(i theta n0) * exp(i theta j): the
-    mask is cut into rows of ROW consecutive terms starting at n0, one
+    Uses exp(i theta (n0 + j)) = exp(i theta n0) * exp(i theta j): one
     product with a (ROW, 2) table of cos(theta j), sin(theta j), j < ROW,
-    rounded to integers at SCALE = 2**43, sums every row of a BLOCK-sized
-    piece, and each row sum (R, I) is turned by its row phase, with
-    c, s = cos(theta n0), sin(theta n0), to (c R - s I, s R + c I) in real
-    multiplies.  Every row sum is an integer below 2**53, so exact in
-    float64 whatever order or fused multiply-add the BLAS kernel uses; the
-    real ufuncs, np.sum and math.fsum do not depend on numpy's CPU dispatch
-    either, so the result is the same bits under every BLAS kernel and
-    dispatch target on one platform (another platform's cos and sin may
-    round differently).  The turned row
-    sums are summed per CHUNK, each angle's chunk totals are folded with
-    math.fsum, and the total is divided by SCALE * N.  One pass serves
-    every angle: each piece is converted to float once, and each angle's
-    own table multiplies it, so an angle's result does not depend on the
-    others.  The float64 row starts n0 are exact below 2**53.
+    rounded to integers at SCALE, sums every row of ROW terms from n0, and
+    each row sum (R, I) is turned by c, s = cos(theta n0), sin(theta n0) to
+    (c R - s I, s R + c I).  Row sums are integers below 2**53, exact under
+    any BLAS kernel, and the real ufuncs, np.sum and math.fsum do not follow
+    numpy's CPU dispatch, so one platform gives one result.  Turned rows are
+    summed per CHUNK and each angle's chunk totals folded with math.fsum.
+    One pass serves every angle, each with its own table, so an angle's
+    result does not depend on the others.  Row starts n0 are exact below
+    2**53.
 
-    Error bound against the sum at the same float theta, with u = 2**-53,
-    M the number of nonzero mask terms and Z_r = (R + i I) / SCALE the row
-    sums: a table entry is off from exp(i theta j) by its rounding to
-    SCALE, at most 2**-44 per part, plus the rounding of the phase theta*j
-    (at most |theta| ROW u) and an ulp of cos and sin; a turn is off by
-    the rounding of its phase theta*n0, at most |theta| n0 u, plus the
-    ulps of cos, sin, the products and the pairwise chunk sum, so
+    Error against the sum at the same float theta, with u = 2**-53, M the
+    nonzero mask terms and Z_r = (R + i I) / SCALE: a table entry is off by
+    at most 2**-44 per part from its rounding to SCALE, plus the rounding
+    of theta*j and an ulp of cos and sin; a turn by the rounding of
+    theta*n0, plus ulps of cos, sin, the products and the chunk sum, so
 
         |error| <= (M/N) (2**-43.5 + |theta| ROW u + 2u)
                    + (1/N) sum_r |Z_r| (|theta| n0_r u + 32u).
 
-    The row phases dominate at large N.  Measured for the Mobius window
-    against a reference that sums mobius(n) * exp(i n theta) with x87
-    longdouble phases and cos/sin at the same float theta (x86_64): at
-    theta = 2*pi*0.6180339887498949 the result was off by 2.1e-14 at
-    N = 1e6 and 6.2e-13 at N = 1e7, where one float64 exp per term was
-    off by 1.5e-14 and 1.4e-13.  At 0.251 and 0.1234567 turns it was at
-    most 6.8e-14; the table's rounding is far below that of the phases.
+    The row phases dominate: against x87 longdouble phases at
+    theta = 2*pi*0.6180339887498949 (x86_64), the Mobius sum was off by
+    2.1e-14 at N = 1e6 and 6.2e-13 at N = 1e7, one float64 exp per term
+    by 1.5e-14 and 1.4e-13.
     """
     turning = [theta for theta in thetas if theta != 0.0]
     j = np.arange(ROW)
