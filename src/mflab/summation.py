@@ -1,4 +1,4 @@
-"""Exact accumulation for long averages.
+"""Reproducible accumulation for long averages.
 
 Averages over 1e7 terms and more are evaluated in fixed-size chunks.  Each
 chunk is reduced with numpy's pairwise summation, and the chunk totals are
