@@ -99,11 +99,9 @@ def test_modulated_average_is_within_its_stated_error_bound(mu_window, turns):
     N, theta, u = 3000, TAU * turns, 2.0**-53
     mu = mu_window[:N].tolist()
     with mpmath.workdps(40):
-        terms = [m * mpmath.expj(mpmath.mpf(theta) * n) for n, m in enumerate(mu, 1) if m]
+        terms = [m * mpmath.expj(mpmath.mpf(theta) * n) for n, m in enumerate(mu, 1)]
         exact = complex(mpmath.fsum(terms) / N)
-        rows = [abs(complex(mpmath.fsum(m * mpmath.expj(mpmath.mpf(theta) * n)
-                                        for n, m in enumerate(mu[r : r + ROW], r + 1) if m)))
-                for r in range(0, N, ROW)]
+        rows = [abs(complex(mpmath.fsum(terms[r : r + ROW]))) for r in range(0, N, ROW)]
     entry = 2.0**-43.5 + abs(theta) * ROW * u + 2 * u
     bound = entry * sum(map(abs, mu)) / N
     for r, z in zip(range(0, N, ROW), rows):
